@@ -114,7 +114,7 @@ int main() {
     for (std::size_t c = 0; c < per_cc.size(); ++c)
       cc_table.add_row({"cc" + std::to_string(c),
                         common::TextTable::num(per_cc[c].front() * ds.tput_scale_mbps(), 0),
-                        common::TextTable::num(w.cc_target[0][c] * ds.tput_scale_mbps(), 0)});
+                        common::TextTable::num(w.cc_target_at(0, c) * ds.tput_scale_mbps(), 0)});
     std::cout << cc_table << "\n";
   }
 

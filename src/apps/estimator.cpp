@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
 

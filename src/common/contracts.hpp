@@ -20,9 +20,7 @@
 //       Compiled out when CA5G_ENABLE_DCHECKS is 0 (the default for NDEBUG
 //       builds); used for expensive or inner-loop invariants. Sanitizer CI
 //       builds force them on (see the root CMakeLists.txt).
-//
-// The legacy header "common/check.hpp" forwards here; CA5G_CHECK and
-// CA5G_CHECK_MSG keep their original spelling and semantics.
+
 #pragma once
 
 #include <cmath>

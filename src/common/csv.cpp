@@ -3,7 +3,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 
 namespace ca5g::common {
 namespace {

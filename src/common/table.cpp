@@ -5,7 +5,7 @@
 #include <ostream>
 #include <sstream>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 
 namespace ca5g::common {
 

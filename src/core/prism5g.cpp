@@ -2,13 +2,50 @@
 
 #include <algorithm>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "nn/infer.hpp"
 
 namespace ca5g::core {
 namespace {
 
 namespace infer = nn::infer;
+
+/// Width of one encoder input: per-CC features plus the shared context
+/// (aggregate history, RRC event flag, CC count).
+constexpr std::size_t kEncoderInputDim = traces::kCcFeatureDim + 1 + traces::kGlobalFeatureDim;
+
+/// Stage CC c's step-t encoder inputs for every window of the batch into
+/// x (rows × kEncoderInputDim). Shared by the autograd and compiled paths
+/// so both cast the same doubles.
+void stage_cc_step(std::span<const traces::Window* const> batch, std::size_t c,
+                   std::size_t t, bool use_state, float* x) {
+  for (std::size_t b = 0; b < batch.size(); ++b) {
+    const auto feat = batch[b]->cc(t, c);
+    // State trigger: gate per-CC features by the RRC-derived activation
+    // mask (X' = X ⊙ I), in double before the float cast. Without it, raw
+    // features pass through untouched — inactive CCs then still look like
+    // zeros in most features, but the model loses the explicit on/off signal.
+    const double gate = use_state ? batch[b]->mask(t, c) : 1.0;
+    float* row = x + b * kEncoderInputDim;
+    std::size_t f = 0;
+    for (; f < traces::kCcFeatureDim; ++f) row[f] = static_cast<float>(feat[f] * gate);
+    // Shared context (aggregate history + globals), gated like the rest:
+    // X'_c = X_c ⊙ I deactivates the whole module.
+    row[f++] = static_cast<float>(batch[b]->agg(t) * gate);
+    for (std::size_t g = 0; g < traces::kGlobalFeatureDim; ++g)
+      row[f++] = static_cast<float>(batch[b]->global(t, g) * gate);
+  }
+}
+
+/// Stage the flattened binary mask (rows × C·T, CC-major) for the embedding.
+void stage_mask(std::span<const traces::Window* const> batch, std::size_t cc_slots,
+                float* m) {
+  const std::size_t t_len = batch.front()->history();
+  for (std::size_t b = 0; b < batch.size(); ++b)
+    for (std::size_t c = 0; c < cc_slots; ++c)
+      for (std::size_t t = 0; t < t_len; ++t)
+        m[b * cc_slots * t_len + c * t_len + t] = static_cast<float>(batch[b]->mask(t, c));
+}
 
 /// Compiled Prism5G forward: per-CC shared-LSTM encoding over
 /// mask-gated inputs, mask embedding + fusion, shared heads, mask
@@ -32,14 +69,13 @@ class Prism5gPlan final : public predictors::DeepPredictor::InferencePlan {
   void run(std::span<const traces::Window* const> batch, infer::Arena& arena,
            float* out) const override {
     const std::size_t rows = batch.size();
-    const std::size_t t_len = batch.front()->cc_feat.size();
+    const std::size_t t_len = batch.front()->history();
     const std::size_t hidden = encoder_.hidden();
-    const std::size_t in_dim = encoder_.cells.front().in;
     const std::size_t g4 = 4 * hidden;
 
     // 1. Shared per-CC encoding into h_all[c] (rows × hidden each).
     float* h_all = arena.alloc(cc_slots_ * rows * hidden);
-    float* x = arena.alloc(rows * in_dim);
+    float* x = arena.alloc(rows * kEncoderInputDim);
     float* states = arena.alloc(encoder_.state_floats(rows));
     float* xg = arena.alloc(rows * g4);
     float* hg = arena.alloc(rows * g4);
@@ -47,7 +83,7 @@ class Prism5gPlan final : public predictors::DeepPredictor::InferencePlan {
       encoder_.zero_states(states, rows);
       const float* top = nullptr;
       for (std::size_t t = 0; t < t_len; ++t) {
-        stage_cc_step(batch, c, t, x);
+        stage_cc_step(batch, c, t, use_state_, x);
         top = encoder_.step(x, states, rows, xg, hg);
       }
       std::copy(top, top + rows * hidden, h_all + c * rows * hidden);
@@ -60,11 +96,7 @@ class Prism5gPlan final : public predictors::DeepPredictor::InferencePlan {
       std::size_t embed_dim = 0;
       if (use_state_) {
         float* mask = arena.alloc(rows * cc_slots_ * t_len);
-        for (std::size_t b = 0; b < rows; ++b)
-          for (std::size_t c = 0; c < cc_slots_; ++c)
-            for (std::size_t t = 0; t < t_len; ++t)
-              mask[b * cc_slots_ * t_len + c * t_len + t] =
-                  static_cast<float>(batch[b]->mask[t][c]);
+        stage_mask(batch, cc_slots_, mask);
         embed_dim = mask_embed_.out;
         float* e = arena.alloc(rows * embed_dim);
         mask_embed_.forward(mask, rows, e);
@@ -99,7 +131,7 @@ class Prism5gPlan final : public predictors::DeepPredictor::InferencePlan {
       const float* y = head_.forward(arena, hc, rows);
       for (std::size_t b = 0; b < rows; ++b) {
         const float gate =
-            use_state_ ? static_cast<float>(batch[b]->mask[t_last][c]) : 1.0f;
+            use_state_ ? static_cast<float>(batch[b]->mask(t_last, c)) : 1.0f;
         float* orow = out + b * horizon_;
         const float* yrow = y + b * horizon_;
         if (c == 0) {
@@ -114,25 +146,6 @@ class Prism5gPlan final : public predictors::DeepPredictor::InferencePlan {
   }
 
  private:
-  /// Stage CC c's step t inputs: gated features + shared context, with
-  /// the gate applied in double before the float cast, exactly like
-  /// make_cc_sequences.
-  void stage_cc_step(std::span<const traces::Window* const> batch, std::size_t c,
-                     std::size_t t, float* x) const {
-    const std::size_t dim = encoder_.cells.front().in;
-    for (std::size_t b = 0; b < batch.size(); ++b) {
-      const auto& feat = batch[b]->cc_feat[t][c];
-      const double gate = use_state_ ? batch[b]->mask[t][c] : 1.0;
-      float* row = x + b * dim;
-      std::size_t f = 0;
-      for (; f < traces::kCcFeatureDim; ++f)
-        row[f] = static_cast<float>(feat[f] * gate);
-      row[f++] = static_cast<float>(batch[b]->agg_history[t] * gate);
-      for (std::size_t g = 0; g < traces::kGlobalFeatureDim; ++g)
-        row[f++] = static_cast<float>(batch[b]->global[t][g] * gate);
-    }
-  }
-
   infer::PackedLstm encoder_;
   infer::PackedLinear mask_embed_;
   infer::PackedMlp fusion_;
@@ -164,11 +177,11 @@ void Prism5G::build(const traces::Dataset& ds, common::Rng& rng) {
 
   // One encoder instance == shared weights across all CC slots.
   if (pconfig_.encoder == EncoderKind::kTransformer) {
-    attention_ = std::make_unique<nn::SelfAttentionEncoder>(rng, encoder_input_dim(),
+    attention_ = std::make_unique<nn::SelfAttentionEncoder>(rng, kEncoderInputDim,
                                                             hidden);
     encoder_.reset();
   } else {
-    encoder_ = std::make_unique<nn::Lstm>(rng, encoder_input_dim(), hidden,
+    encoder_ = std::make_unique<nn::Lstm>(rng, kEncoderInputDim, hidden,
                                           config_.layers);
     attention_.reset();
   }
@@ -185,28 +198,13 @@ void Prism5G::build(const traces::Dataset& ds, common::Rng& rng) {
 std::vector<std::vector<nn::Tensor>> Prism5G::make_cc_sequences(
     std::span<const traces::Window* const> batch) const {
   CA5G_CHECK_MSG(!batch.empty(), "empty batch");
-  const std::size_t t_len = batch.front()->cc_feat.size();
+  const std::size_t t_len = batch.front()->history();
   std::vector<std::vector<nn::Tensor>> sequences(cc_slots_);
   for (std::size_t c = 0; c < cc_slots_; ++c) {
     sequences[c].reserve(t_len);
     for (std::size_t t = 0; t < t_len; ++t) {
-      nn::Tensor x(batch.size(), encoder_input_dim());
-      for (std::size_t b = 0; b < batch.size(); ++b) {
-        const auto& feat = batch[b]->cc_feat[t][c];
-        // State trigger: gate per-CC features by the RRC-derived
-        // activation mask (X' = X ⊙ I). Without it, raw features pass
-        // through untouched — inactive CCs then still look like zeros in
-        // most features, but the model loses the explicit on/off signal.
-        const double gate = pconfig_.use_state ? batch[b]->mask[t][c] : 1.0;
-        std::size_t f = 0;
-        for (; f < traces::kCcFeatureDim; ++f)
-          x.set(b, f, static_cast<float>(feat[f] * gate));
-        // Shared context (aggregate history + globals), gated like the
-        // rest: X'_c = X_c ⊙ I deactivates the whole module.
-        x.set(b, f++, static_cast<float>(batch[b]->agg_history[t] * gate));
-        for (std::size_t g = 0; g < traces::kGlobalFeatureDim; ++g)
-          x.set(b, f++, static_cast<float>(batch[b]->global[t][g] * gate));
-      }
+      nn::Tensor x(batch.size(), kEncoderInputDim);
+      stage_cc_step(batch, c, t, pconfig_.use_state, x.values().data());
       sequences[c].push_back(std::move(x));
     }
   }
@@ -214,12 +212,8 @@ std::vector<std::vector<nn::Tensor>> Prism5G::make_cc_sequences(
 }
 
 nn::Tensor Prism5G::make_mask_matrix(std::span<const traces::Window* const> batch) const {
-  const std::size_t t_len = batch.front()->mask.size();
-  nn::Tensor m(batch.size(), cc_slots_ * t_len);
-  for (std::size_t b = 0; b < batch.size(); ++b)
-    for (std::size_t c = 0; c < cc_slots_; ++c)
-      for (std::size_t t = 0; t < t_len; ++t)
-        m.set(b, c * t_len + t, static_cast<float>(batch[b]->mask[t][c]));
+  nn::Tensor m(batch.size(), cc_slots_ * batch.front()->history());
+  stage_mask(batch, cc_slots_, m.values().data());
   return m;
 }
 
@@ -245,7 +239,7 @@ std::vector<nn::Tensor> Prism5G::forward_per_cc(
   // 4. Shared per-CC heads on h'_c = h_c + h_f. With the state trigger
   // on, a module whose carrier is inactive at prediction time is
   // deactivated outright: it contributes exactly zero throughput.
-  const std::size_t t_last = batch.front()->mask.size() - 1;
+  const std::size_t t_last = batch.front()->history() - 1;
   std::vector<nn::Tensor> outputs;
   outputs.reserve(cc_slots_);
   for (std::size_t c = 0; c < cc_slots_; ++c) {
@@ -254,7 +248,7 @@ std::vector<nn::Tensor> Prism5G::forward_per_cc(
     if (pconfig_.use_state) {
       nn::Tensor gate(batch.size(), 1);
       for (std::size_t b = 0; b < batch.size(); ++b)
-        gate.set(b, 0, static_cast<float>(batch[b]->mask[t_last][c]));
+        gate.set(b, 0, static_cast<float>(batch[b]->mask(t_last, c)));
       // Broadcast the per-row gate across the horizon columns.
       std::vector<nn::Tensor> cols;
       cols.reserve(horizon_);
@@ -286,7 +280,7 @@ nn::Tensor Prism5G::compute_loss(std::span<const traces::Window* const> batch) {
       nn::Tensor cc_target(batch.size(), horizon_);
       for (std::size_t b = 0; b < batch.size(); ++b)
         for (std::size_t h = 0; h < horizon_; ++h)
-          cc_target.set(b, h, static_cast<float>(batch[b]->cc_target[h][c]));
+          cc_target.set(b, h, static_cast<float>(batch[b]->cc_target_at(h, c)));
       loss = loss + nn::scale(nn::mse_loss(per_cc[c], cc_target),
                               pconfig_.per_cc_loss_weight /
                                   static_cast<float>(per_cc.size()));

@@ -63,11 +63,6 @@ class Prism5G final : public predictors::DeepPredictor {
   [[nodiscard]] std::unique_ptr<InferencePlan> compile_plan() const override;
 
  private:
-  /// Width of one encoder input: per-CC features plus the shared
-  /// context (aggregate history, RRC event flag, CC count).
-  [[nodiscard]] static std::size_t encoder_input_dim() {
-    return traces::kCcFeatureDim + 1 + traces::kGlobalFeatureDim;
-  }
   /// Per-CC input sequences ([C] of [T] tensors batch × F'), mask-gated
   /// when the state mechanism is on. Each CC's features are augmented
   /// with the shared context so encoders see the same information the

@@ -1,6 +1,6 @@
 #include "eval/importance.hpp"
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 
 namespace ca5g::eval {
 namespace {
@@ -47,9 +47,9 @@ std::vector<FeatureImportance> permutation_importance(
       rng.shuffle(donor);
       for (std::size_t i = 0; i < shuffled.size(); ++i) {
         const auto& src = base[donor[i]];
-        for (std::size_t t = 0; t < shuffled[i].cc_feat.size(); ++t)
-          for (std::size_t c = 0; c < shuffled[i].cc_feat[t].size(); ++c)
-            shuffled[i].cc_feat[t][c][feature] = src.cc_feat[t][c][feature];
+        for (std::size_t t = 0; t < shuffled[i].history(); ++t)
+          for (std::size_t c = 0; c < shuffled[i].cc_slots; ++c)
+            shuffled[i].cc(t, c)[feature] = src.cc(t, c)[feature];
       }
       permuted_total += rmse_over(model, shuffled);
     }
@@ -80,7 +80,8 @@ FeatureImportance history_importance(const predictors::Predictor& model,
     for (std::size_t i = 0; i < donor.size(); ++i) donor[i] = i;
     rng.shuffle(donor);
     for (std::size_t i = 0; i < shuffled.size(); ++i)
-      shuffled[i].agg_history = base[donor[i]].agg_history;
+      for (std::size_t t = 0; t < shuffled[i].history(); ++t)
+        shuffled[i].agg(t) = base[donor[i]].agg(t);
     permuted_total += rmse_over(model, shuffled);
   }
   fi.permuted_rmse = permuted_total / static_cast<double>(rounds);

@@ -2,7 +2,7 @@
 
 #include <cstdlib>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"

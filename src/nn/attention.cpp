@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 
 namespace ca5g::nn {
 

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
 

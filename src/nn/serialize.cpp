@@ -3,7 +3,7 @@
 #include <cstring>
 #include <fstream>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 
 namespace ca5g::nn {
 namespace {

@@ -2,7 +2,7 @@
 
 #include <array>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 
 namespace ca5g::phy {
 namespace {

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 
 namespace ca5g::phy {
 

@@ -4,63 +4,54 @@
 #include <chrono>
 #include <cmath>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
 
 namespace ca5g::predictors {
 
+namespace {
+
+/// Stage one kThroughputOnly step: x (rows × 1).
+void stage_throughput(std::span<const traces::Window* const> batch, std::size_t t,
+                      float* x) {
+  for (std::size_t b = 0; b < batch.size(); ++b)
+    x[b] = static_cast<float>(batch[b]->agg(t));
+}
+
+/// Stage one kThroughputPlusGlobal step: x (rows × (1 + globals)).
+void stage_throughput_global(std::span<const traces::Window* const> batch,
+                             std::size_t t, float* x) {
+  constexpr std::size_t dim = 1 + traces::kGlobalFeatureDim;
+  for (std::size_t b = 0; b < batch.size(); ++b) {
+    float* row = x + b * dim;
+    row[0] = static_cast<float>(batch[b]->agg(t));
+    for (std::size_t g = 0; g < traces::kGlobalFeatureDim; ++g)
+      row[1 + g] = static_cast<float>(batch[b]->global(t, g));
+  }
+}
+
+}  // namespace
+
 // ---- Base training loop ------------------------------------------------------
 
-std::size_t DeepPredictor::input_dim(const traces::Dataset& ds, InputMode mode) {
-  switch (mode) {
-    case InputMode::kThroughputOnly: return 1;
-    case InputMode::kThroughputPlusGlobal: return 1 + traces::kGlobalFeatureDim;
-    case InputMode::kFullFlat: return ds.flat_dim();
-  }
-  return ds.flat_dim();
+std::size_t DeepPredictor::input_dim(InputMode mode) {
+  return mode == InputMode::kThroughputOnly ? 1 : 1 + traces::kGlobalFeatureDim;
 }
 
 std::vector<nn::Tensor> DeepPredictor::make_sequence(
     std::span<const traces::Window* const> batch, InputMode mode) {
-  if (mode == InputMode::kFullFlat) return make_flat_sequence(batch);
   CA5G_CHECK_MSG(!batch.empty(), "empty batch");
-  const std::size_t t_len = batch.front()->agg_history.size();
-  const std::size_t dim =
-      mode == InputMode::kThroughputOnly ? 1 : 1 + traces::kGlobalFeatureDim;
+  const std::size_t t_len = batch.front()->history();
   std::vector<nn::Tensor> sequence;
   sequence.reserve(t_len);
   for (std::size_t t = 0; t < t_len; ++t) {
-    nn::Tensor x(batch.size(), dim);
-    for (std::size_t b = 0; b < batch.size(); ++b) {
-      x.set(b, 0, static_cast<float>(batch[b]->agg_history[t]));
-      if (mode == InputMode::kThroughputPlusGlobal)
-        for (std::size_t g = 0; g < traces::kGlobalFeatureDim; ++g)
-          x.set(b, 1 + g, static_cast<float>(batch[b]->global[t][g]));
-    }
-    sequence.push_back(std::move(x));
-  }
-  return sequence;
-}
-
-std::vector<nn::Tensor> DeepPredictor::make_flat_sequence(
-    std::span<const traces::Window* const> batch) {
-  CA5G_CHECK_MSG(!batch.empty(), "empty batch");
-  const std::size_t t_len = batch.front()->cc_feat.size();
-  const auto first = traces::Dataset::flatten_step(*batch.front(), 0);
-  const std::size_t dim = first.size();
-
-  std::vector<nn::Tensor> sequence;
-  sequence.reserve(t_len);
-  for (std::size_t t = 0; t < t_len; ++t) {
-    nn::Tensor x(batch.size(), dim);
-    for (std::size_t b = 0; b < batch.size(); ++b) {
-      const auto flat = traces::Dataset::flatten_step(*batch[b], t);
-      CA5G_CHECK_MSG(flat.size() == dim, "inconsistent flat dims in batch");
-      for (std::size_t c = 0; c < dim; ++c)
-        x.set(b, c, static_cast<float>(flat[c]));
-    }
+    nn::Tensor x(batch.size(), input_dim(mode));
+    if (mode == InputMode::kThroughputOnly)
+      stage_throughput(batch, t, x.values().data());
+    else
+      stage_throughput_global(batch, t, x.values().data());
     sequence.push_back(std::move(x));
   }
   return sequence;
@@ -94,7 +85,6 @@ void DeepPredictor::fit(const traces::Dataset& ds,
                         std::span<const traces::Window* const> val) {
   CA5G_CHECK_MSG(!train.empty(), "fit with empty training set");
   horizon_ = ds.horizon();
-  flat_dim_ = ds.flat_dim();
 
   common::Rng rng(config_.seed);
   build(ds, rng);
@@ -174,7 +164,6 @@ void DeepPredictor::save(const std::string& path) {
 
 void DeepPredictor::load(const traces::Dataset& ds, const std::string& path) {
   horizon_ = ds.horizon();
-  flat_dim_ = ds.flat_dim();
   common::Rng rng(config_.seed);
   build(ds, rng);
   auto params = trainable_parameters();
@@ -266,31 +255,12 @@ std::vector<std::vector<double>> DeepPredictor::predict_many(
 //
 // Each plan mirrors its model's forward_batch(training=false) op by op
 // with the nn::infer kernels; accumulation orders are chosen to match
-// the graph bit-for-bit (see nn/infer.hpp). Input staging replicates
-// make_sequence's float casts exactly.
+// the graph bit-for-bit (see nn/infer.hpp). Inputs are staged by the
+// same stage_* helpers make_sequence uses.
 
 namespace {
 
 namespace infer = nn::infer;
-
-/// Stage one kThroughputOnly step: x (rows × 1).
-void stage_throughput(std::span<const traces::Window* const> batch, std::size_t t,
-                      float* x) {
-  for (std::size_t b = 0; b < batch.size(); ++b)
-    x[b] = static_cast<float>(batch[b]->agg_history[t]);
-}
-
-/// Stage one kThroughputPlusGlobal step: x (rows × (1 + globals)).
-void stage_throughput_global(std::span<const traces::Window* const> batch,
-                             std::size_t t, float* x) {
-  constexpr std::size_t dim = 1 + traces::kGlobalFeatureDim;
-  for (std::size_t b = 0; b < batch.size(); ++b) {
-    float* row = x + b * dim;
-    row[0] = static_cast<float>(batch[b]->agg_history[t]);
-    for (std::size_t g = 0; g < traces::kGlobalFeatureDim; ++g)
-      row[1 + g] = static_cast<float>(batch[b]->global[t][g]);
-  }
-}
 
 /// LSTM baseline: lstm over the throughput history → linear head.
 class LstmPlan final : public DeepPredictor::InferencePlan {
@@ -301,7 +271,7 @@ class LstmPlan final : public DeepPredictor::InferencePlan {
   void run(std::span<const traces::Window* const> batch, infer::Arena& arena,
            float* out) const override {
     const std::size_t rows = batch.size();
-    const std::size_t t_len = batch.front()->agg_history.size();
+    const std::size_t t_len = batch.front()->history();
     const std::size_t g4 = 4 * lstm_.hidden();
     float* x = arena.alloc(rows);
     float* states = lstm_.alloc_states(arena, rows);
@@ -331,7 +301,7 @@ class TcnPlan final : public DeepPredictor::InferencePlan {
   void run(std::span<const traces::Window* const> batch, infer::Arena& arena,
            float* out) const override {
     const std::size_t rows = batch.size();
-    const std::size_t t_len = batch.front()->agg_history.size();
+    const std::size_t t_len = batch.front()->history();
     float* seq = arena.alloc(t_len * rows);
     for (std::size_t t = 0; t < t_len; ++t)
       stage_throughput(batch, t, seq + t * rows);
@@ -364,7 +334,7 @@ class LumosPlan final : public DeepPredictor::InferencePlan {
   void run(std::span<const traces::Window* const> batch, infer::Arena& arena,
            float* out) const override {
     const std::size_t rows = batch.size();
-    const std::size_t t_len = batch.front()->agg_history.size();
+    const std::size_t t_len = batch.front()->history();
     constexpr std::size_t enc_dim = 1 + traces::kGlobalFeatureDim;
     const std::size_t g4 = 4 * encoder_.hidden();
 
@@ -382,7 +352,7 @@ class LumosPlan final : public DeepPredictor::InferencePlan {
     // aggregate throughput.
     float* y = arena.alloc(rows);
     for (std::size_t b = 0; b < rows; ++b)
-      y[b] = static_cast<float>(batch[b]->agg_history.back());
+      y[b] = static_cast<float>(batch[b]->agg(t_len - 1));
     for (std::size_t h = 0; h < horizon_; ++h) {
       const float* top = decoder_.step(y, states, rows, xg, hg);
       head_.forward(top, rows, y);
@@ -402,7 +372,7 @@ class LumosPlan final : public DeepPredictor::InferencePlan {
 // ---- LSTM baseline -------------------------------------------------------------
 
 void LstmPredictor::build(const traces::Dataset& ds, common::Rng& rng) {
-  lstm_ = std::make_unique<nn::Lstm>(rng, input_dim(ds, InputMode::kThroughputOnly),
+  lstm_ = std::make_unique<nn::Lstm>(rng, input_dim(InputMode::kThroughputOnly),
                                      config_.hidden, config_.layers);
   head_ = std::make_unique<nn::Linear>(rng, config_.hidden, ds.horizon());
 }
@@ -429,7 +399,7 @@ std::unique_ptr<DeepPredictor::InferencePlan> LstmPredictor::compile_plan() cons
 void TcnPredictor::build(const traces::Dataset& ds, common::Rng& rng) {
   convs_.clear();
   const std::size_t h = config_.hidden;
-  convs_.emplace_back(rng, input_dim(ds, InputMode::kThroughputOnly), h, 3, 1);
+  convs_.emplace_back(rng, input_dim(InputMode::kThroughputOnly), h, 3, 1);
   convs_.emplace_back(rng, h, h, 3, 2);
   convs_.emplace_back(rng, h, h, 3, 4);
   head_ = std::make_unique<nn::Linear>(rng, h, ds.horizon());
@@ -460,9 +430,9 @@ std::unique_ptr<DeepPredictor::InferencePlan> TcnPredictor::compile_plan() const
 
 // ---- Lumos5G (Seq2Seq) -----------------------------------------------------------
 
-void Lumos5gPredictor::build(const traces::Dataset& ds, common::Rng& rng) {
+void Lumos5gPredictor::build(const traces::Dataset& /*ds*/, common::Rng& rng) {
   encoder_ = std::make_unique<nn::Lstm>(
-      rng, input_dim(ds, InputMode::kThroughputPlusGlobal), config_.hidden,
+      rng, input_dim(InputMode::kThroughputPlusGlobal), config_.hidden,
       config_.layers);
   decoder_ = std::make_unique<nn::Lstm>(rng, 1, config_.hidden, config_.layers);
   out_ = std::make_unique<nn::Linear>(rng, config_.hidden, 1);
@@ -476,7 +446,7 @@ nn::Tensor Lumos5gPredictor::forward_batch(std::span<const traces::Window* const
   // Decoder starts from the last observed aggregate throughput.
   nn::Tensor input(batch.size(), 1);
   for (std::size_t b = 0; b < batch.size(); ++b)
-    input.set(b, 0, static_cast<float>(batch[b]->agg_history.back()));
+    input.set(b, 0, static_cast<float>(batch[b]->agg(batch[b]->history() - 1)));
 
   std::vector<nn::Tensor> step_outputs;
   for (std::size_t h = 0; h < horizon_; ++h) {

@@ -103,26 +103,20 @@ class DeepPredictor : public Predictor {
   enum class InputMode {
     kThroughputOnly,        ///< [agg_tput] — classic bandwidth forecasting
     kThroughputPlusGlobal,  ///< [agg_tput, global...] — generic context
-    kFullFlat,              ///< all CC features + globals + aggregate
   };
 
   /// Sequence of T input tensors for a batch under an input mode.
   [[nodiscard]] static std::vector<nn::Tensor> make_sequence(
       std::span<const traces::Window* const> batch, InputMode mode);
 
-  /// Input width for a mode over a dataset.
-  [[nodiscard]] static std::size_t input_dim(const traces::Dataset& ds, InputMode mode);
-
-  /// Sequence of T input tensors (batch × flat_dim) for a batch.
-  [[nodiscard]] static std::vector<nn::Tensor> make_flat_sequence(
-      std::span<const traces::Window* const> batch);
+  /// Input width of one step under a mode.
+  [[nodiscard]] static std::size_t input_dim(InputMode mode);
   /// Target tensor (batch × horizon).
   [[nodiscard]] static nn::Tensor make_target(std::span<const traces::Window* const> batch,
                                               std::size_t horizon);
 
   TrainConfig config_;
   std::size_t horizon_ = 10;
-  std::size_t flat_dim_ = 0;
 
  private:
   [[nodiscard]] std::vector<std::vector<float>> snapshot_parameters();

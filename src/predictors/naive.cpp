@@ -4,18 +4,15 @@
 #include <cmath>
 #include <numbers>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 
 namespace ca5g::predictors {
 
 std::vector<double> HarmonicMeanPredictor::predict(const traces::Window& w) const {
-  CA5G_CHECK_MSG(!w.agg_history.empty(), "empty history");
+  const std::size_t n = w.history();
+  CA5G_CHECK_MSG(n > 0, "empty history");
   double denom = 0.0;
-  std::size_t n = 0;
-  for (double x : w.agg_history) {
-    denom += 1.0 / std::max(x, 1e-6);
-    ++n;
-  }
+  for (std::size_t t = 0; t < n; ++t) denom += 1.0 / std::max(w.agg(t), 1e-6);
   const double hm = static_cast<double>(n) / denom;
   return std::vector<double>(horizon_, hm);
 }
@@ -62,7 +59,7 @@ std::vector<double> ridge_solve(const std::vector<std::vector<double>>& a,
 }
 
 std::vector<double> ProphetLitePredictor::predict(const traces::Window& w) const {
-  const std::size_t t_len = w.agg_history.size();
+  const std::size_t t_len = w.history();
   CA5G_CHECK_MSG(t_len >= 3, "history too short for Prophet-lite");
   const double period = static_cast<double>(t_len);
 
@@ -77,9 +74,14 @@ std::vector<double> ProphetLitePredictor::predict(const traces::Window& w) const
   };
 
   std::vector<std::vector<double>> design;
+  std::vector<double> history;
   design.reserve(t_len);
-  for (std::size_t t = 0; t < t_len; ++t) design.push_back(features(static_cast<double>(t)));
-  const auto coef = ridge_solve(design, w.agg_history, config_.ridge_lambda);
+  history.reserve(t_len);
+  for (std::size_t t = 0; t < t_len; ++t) {
+    design.push_back(features(static_cast<double>(t)));
+    history.push_back(w.agg(t));
+  }
+  const auto coef = ridge_solve(design, history, config_.ridge_lambda);
 
   std::vector<double> out;
   out.reserve(horizon_);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 
 namespace ca5g::predictors {
 namespace {
@@ -19,8 +19,9 @@ double subset_mean(const std::vector<double>& y, const std::vector<std::size_t>&
 
 std::vector<double> flatten_window(const traces::Window& w) {
   std::vector<double> flat;
-  for (std::size_t t = 0; t < w.cc_feat.size(); ++t) {
-    const auto step = traces::Dataset::flatten_step(w, t);
+  flat.reserve(w.history() * traces::flat_dim(w.cc_slots));
+  for (std::size_t t = 0; t < w.history(); ++t) {
+    const auto step = w.flat(t);
     flat.insert(flat.end(), step.begin(), step.end());
   }
   return flat;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 
 namespace ca5g::radio {
 

@@ -4,7 +4,7 @@
 #include <array>
 #include <cmath>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 
 namespace ca5g::ran {
 namespace {

@@ -70,8 +70,8 @@ void PredictionServer::worker_loop() {
   CA5G_METRIC_HISTOGRAM(predict_ns, "serve.predict_ns");
   CA5G_METRIC_HISTOGRAM(latency_ns, "serve.request_latency_ns");
 
-  // Dispatch scratch, reused across batches: the nested vectors inside
-  // each Window keep their capacity, so steady-state dispatch does not
+  // Dispatch scratch, reused across batches: each Window's flat history
+  // buffer keeps its capacity, so steady-state dispatch does not
   // allocate for window assembly.
   std::vector<Request> batch;
   batch.reserve(config_.max_batch);

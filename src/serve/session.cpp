@@ -1,5 +1,7 @@
 #include "serve/session.hpp"
 
+#include <algorithm>
+
 #include "common/contracts.hpp"
 #include "obs/metrics.hpp"
 
@@ -10,31 +12,27 @@ UeSession::UeSession(std::size_t history, std::size_t cc_slots, double tput_scal
   CA5G_CHECK_MSG(history_ >= 1, "UeSession needs at least one history slot");
   CA5G_CHECK_MSG(cc_slots_ >= 1, "UeSession needs at least one CC slot");
   CA5G_CHECK_MSG(tput_scale_mbps_ > 0.0, "UeSession throughput scale must be positive");
-  ring_.resize(history_);
+  ring_.resize(history_ * traces::step_dim(cc_slots_));
 }
 
 void UeSession::push(const sim::TraceSample& sample) {
-  traces::featurize_step(sample, cc_slots_, tput_scale_mbps_, ring_[next_slot_]);
+  const std::size_t dim = traces::step_dim(cc_slots_);
+  traces::featurize_step(sample, cc_slots_, tput_scale_mbps_,
+                         std::span<double>(ring_).subspan(next_slot_ * dim, dim));
   next_slot_ = (next_slot_ + 1) % history_;
   ++steps_seen_;
 }
 
 void UeSession::snapshot(traces::Window& out) const {
   CA5G_CHECK_MSG(warm(), "snapshot of a cold session");
-  out.cc_feat.resize(history_);
-  out.mask.resize(history_);
-  out.global.resize(history_);
-  out.agg_history.resize(history_);
+  out.cc_slots = cc_slots_;
+  out.steps.resize(ring_.size());
   out.target.clear();
   out.cc_target.clear();
-  // next_slot_ is the oldest entry once the ring is full.
-  for (std::size_t t = 0; t < history_; ++t) {
-    const auto& step = ring_[(next_slot_ + t) % history_];
-    out.cc_feat[t] = step.cc;
-    out.mask[t] = step.mask;
-    out.global[t] = step.global;
-    out.agg_history[t] = step.agg;
-  }
+  // next_slot_ is the oldest row once the ring is full.
+  const auto oldest =
+      ring_.begin() + static_cast<std::ptrdiff_t>(next_slot_ * traces::step_dim(cc_slots_));
+  std::copy(ring_.begin(), oldest, std::copy(oldest, ring_.end(), out.steps.begin()));
 }
 
 SessionTable::SessionTable(std::size_t shards, std::size_t history,

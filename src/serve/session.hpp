@@ -1,8 +1,9 @@
-// Per-UE streaming session state: a fixed-capacity ring buffer of
-// featurized trace steps. Each incoming sim::TraceSample is normalized
-// exactly once at ingest (traces::featurize_step — the same code path the
-// batch Dataset windowing uses), so producing a prediction window is a
-// copy of pre-normalized doubles instead of a per-request build_window
+// Per-UE streaming session state: a fixed-capacity ring of featurized
+// trace steps, stored as one contiguous buffer of Window history rows.
+// Each incoming sim::TraceSample is normalized exactly once at ingest
+// (traces::featurize_step — the same code path the batch Dataset
+// windowing uses), so producing a prediction window is at most two
+// copies of pre-normalized doubles instead of a per-request build_window
 // rebuild over raw samples. Sessions are grouped into a sharded table so
 // ingest threads and batching workers contend on a shard mutex, not a
 // global one.
@@ -29,9 +30,9 @@ class UeSession {
   /// against `tput_scale_mbps` (the serving model's training scale).
   UeSession(std::size_t history, std::size_t cc_slots, double tput_scale_mbps);
 
-  /// Ingest one 10 ms sample: featurize into the next ring slot.
-  /// Steady-state cost is the featurization only — the ring slots keep
-  /// their heap capacity, so no allocation after warm-up.
+  /// Ingest one 10 ms sample: featurize into the next ring row in
+  /// place. Throws CheckError when the sample has more than `cc_slots`
+  /// CCs. No allocation: the ring is sized at construction.
   void push(const sim::TraceSample& sample);
 
   /// True once `history` samples have been ingested.
@@ -39,7 +40,8 @@ class UeSession {
   [[nodiscard]] std::uint64_t steps_seen() const noexcept { return steps_seen_; }
 
   /// Materialize the current window (oldest → newest ring order) into
-  /// `out`, reusing its nested-vector capacity. Requires warm().
+  /// `out` with at most two copies, reusing `out.steps`' capacity.
+  /// Requires warm().
   /// The produced history matches traces::build_window over the same
   /// samples feature-for-feature; target fields are left empty (the
   /// horizon is what the server predicts).
@@ -50,8 +52,8 @@ class UeSession {
   std::size_t cc_slots_;
   double tput_scale_mbps_;
   std::uint64_t steps_seen_ = 0;
-  std::size_t next_slot_ = 0;               ///< ring index of the next write
-  std::vector<traces::StepFeatures> ring_;  ///< `history_` slots
+  std::size_t next_slot_ = 0;  ///< ring row of the next write
+  std::vector<double> ring_;   ///< `history_` rows of traces::step_dim(cc_slots_)
 };
 
 /// Sharded UeId → UeSession map. push() and snapshot() lock only the

@@ -4,7 +4,7 @@
 #include <map>
 #include <cmath>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
 #include "phy/numerology.hpp"

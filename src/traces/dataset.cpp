@@ -4,7 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "common/thread_pool.hpp"
 
 namespace ca5g::traces {
@@ -17,8 +17,8 @@ double norm_rsrq(double db) { return std::clamp((db + 20.0) / 15.0, 0.0, 1.0); }
 double norm_sinr(double db) { return std::clamp((db + 15.0) / 50.0, 0.0, 1.0); }
 
 void cc_features_into(const sim::CcSample& cc, double tput_scale,
-                      std::vector<double>& f) {
-  f.assign(kCcFeatureDim, 0.0);
+                      std::span<double, kCcFeatureDim> f) {
+  std::fill(f.begin(), f.end(), 0.0);
   if (!cc.active) return;  // inactive slots are zeroed, as in the paper's mask
   f[kFeatActive] = 1.0;
   f[kFeatPcell] = cc.is_pcell ? 1.0 : 0.0;
@@ -38,18 +38,19 @@ void cc_features_into(const sim::CcSample& cc, double tput_scale,
 }  // namespace
 
 void featurize_step(const sim::TraceSample& s, std::size_t cc_slots,
-                    double tput_scale_mbps, StepFeatures& out) {
-  out.cc.resize(cc_slots);
-  out.mask.resize(cc_slots);
+                    double tput_scale_mbps, std::span<double> row) {
+  CA5G_CHECK_LE_MSG(s.ccs.size(), cc_slots, "sample reports more CCs than cc_slots");
+  CA5G_CHECK_EQ(row.size(), step_dim(cc_slots));
+  double* context = row.data() + cc_slots * kCcFeatureDim;  // globals, then aggregate
+  double* mask = row.data() + flat_dim(cc_slots);
   for (std::size_t c = 0; c < cc_slots; ++c) {
     const sim::CcSample& cc = c < s.ccs.size() ? s.ccs[c] : sim::CcSample{};
-    cc_features_into(cc, tput_scale_mbps, out.cc[c]);
-    out.mask[c] = cc.active ? 1.0 : 0.0;
+    cc_features_into(cc, tput_scale_mbps, row.subspan(c * kCcFeatureDim).first<kCcFeatureDim>());
+    mask[c] = cc.active ? 1.0 : 0.0;
   }
-  out.global.assign({s.events.empty() ? 0.0 : 1.0,
-                     static_cast<double>(s.active_cc_count()) /
-                         static_cast<double>(cc_slots)});
-  out.agg = s.aggregate_tput_mbps / tput_scale_mbps;
+  context[0] = s.events.empty() ? 0.0 : 1.0;
+  context[1] = static_cast<double>(s.active_cc_count()) / static_cast<double>(cc_slots);
+  context[kGlobalFeatureDim] = s.aggregate_tput_mbps / tput_scale_mbps;
 }
 
 Window build_window(const std::vector<sim::TraceSample>& samples, std::size_t start,
@@ -61,24 +62,21 @@ Window build_window(const std::vector<sim::TraceSample>& samples, std::size_t st
                    "window target out of range");
 
   Window w;
-  w.cc_feat.reserve(spec.history);
-  StepFeatures step;
-  for (std::size_t t = 0; t < spec.history; ++t) {
-    featurize_step(samples[start + t], cc_slots, tput_scale_mbps, step);
-    w.cc_feat.push_back(step.cc);
-    w.mask.push_back(step.mask);
-    w.global.push_back(step.global);
-    w.agg_history.push_back(step.agg);
-  }
+  w.cc_slots = cc_slots;
+  const std::size_t dim = step_dim(cc_slots);
+  w.steps.resize(spec.history * dim);
+  for (std::size_t t = 0; t < spec.history; ++t)
+    featurize_step(samples[start + t], cc_slots, tput_scale_mbps,
+                   std::span<double>(w.steps).subspan(t * dim, dim));
   const std::size_t horizon_avail =
       std::min(spec.horizon, samples.size() - start - spec.history);
+  w.target.resize(horizon_avail);
+  w.cc_target.assign(horizon_avail * cc_slots, 0.0);
   for (std::size_t h = 0; h < horizon_avail; ++h) {
     const auto& s = samples[start + spec.history + h];
-    w.target.push_back(s.aggregate_tput_mbps / tput_scale_mbps);
-    std::vector<double> cc_t(cc_slots, 0.0);
+    w.target[h] = s.aggregate_tput_mbps / tput_scale_mbps;
     for (std::size_t c = 0; c < cc_slots && c < s.ccs.size(); ++c)
-      cc_t[c] = s.ccs[c].tput_mbps / tput_scale_mbps;
-    w.cc_target.push_back(std::move(cc_t));
+      w.cc_target[h * cc_slots + c] = s.ccs[c].tput_mbps / tput_scale_mbps;
   }
   return w;
 }
@@ -128,16 +126,6 @@ Dataset Dataset::from_traces(const std::vector<sim::Trace>& traces,
     ds.windows_[i] = std::move(w);
   });
   return ds;
-}
-
-std::vector<double> Dataset::flatten_step(const Window& w, std::size_t t) {
-  CA5G_CHECK_MSG(t < w.cc_feat.size(), "flatten_step index out of range");
-  std::vector<double> flat;
-  flat.reserve(w.cc_feat[t].size() * kCcFeatureDim + kGlobalFeatureDim + 1);
-  for (const auto& cc : w.cc_feat[t]) flat.insert(flat.end(), cc.begin(), cc.end());
-  flat.insert(flat.end(), w.global[t].begin(), w.global[t].end());
-  flat.push_back(w.agg_history[t]);
-  return flat;
 }
 
 Dataset::Split Dataset::random_split(double train_frac, double val_frac,

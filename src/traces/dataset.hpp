@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -38,22 +39,72 @@ enum CcFeature : std::size_t {
   kFeatTput,
 };
 
-/// One training window: T history steps and H future (target) steps.
+/// Values the flat baselines consume per history step: every CC's
+/// features, the globals and the aggregate.
+[[nodiscard]] constexpr std::size_t flat_dim(std::size_t cc_slots) noexcept {
+  return cc_slots * kCcFeatureDim + kGlobalFeatureDim + 1;
+}
+/// Values per history row of a Window: the flat part, then the mask.
+[[nodiscard]] constexpr std::size_t step_dim(std::size_t cc_slots) noexcept {
+  return flat_dim(cc_slots) + cc_slots;
+}
+
+/// One training window: T history steps and H future (target) steps,
+/// stored contiguously. Each history row is
+///   [C×kCcFeatureDim CC features | kGlobalFeatureDim globals | aggregate | C mask],
+/// so flat(t) is a prefix of row t. The mask is the paper's RRC-derived
+/// binary activation mask I. It keeps its own lane instead of aliasing
+/// kFeatActive: permutation importance shuffles the "active" feature
+/// column and must leave Prism5G's gate untouched.
 struct Window {
-  /// [T][C][kCcFeatureDim] normalized per-CC features.
-  std::vector<std::vector<std::vector<double>>> cc_feat;
-  /// [T][C] binary activation mask (the paper's RRC-derived I).
-  std::vector<std::vector<double>> mask;
-  /// [T][kGlobalFeatureDim] global features.
-  std::vector<std::vector<double>> global;
-  /// [T] normalized aggregate throughput history.
-  std::vector<double> agg_history;
+  std::size_t cc_slots = 0;
+  /// [T][step_dim(cc_slots)] normalized history rows.
+  std::vector<double> steps;
   /// [H] normalized aggregate throughput targets.
   std::vector<double> target;
-  /// [H][C] normalized per-CC throughput targets.
-  std::vector<std::vector<double>> cc_target;
+  /// [H][C] normalized per-CC throughput targets, horizon-major.
+  std::vector<double> cc_target;
   /// Which trace this window came from (for trace-level splits).
   std::size_t trace_id = 0;
+
+  [[nodiscard]] std::size_t history() const noexcept {
+    return steps.size() / step_dim(cc_slots);
+  }
+  [[nodiscard]] std::span<const double, kCcFeatureDim> cc(std::size_t t,
+                                                          std::size_t c) const noexcept {
+    return std::span<const double, kCcFeatureDim>(steps.data() + at(t, c * kCcFeatureDim),
+                                                  kCcFeatureDim);
+  }
+  [[nodiscard]] std::span<double, kCcFeatureDim> cc(std::size_t t, std::size_t c) noexcept {
+    return std::span<double, kCcFeatureDim>(steps.data() + at(t, c * kCcFeatureDim),
+                                            kCcFeatureDim);
+  }
+  [[nodiscard]] double mask(std::size_t t, std::size_t c) const noexcept {
+    return steps[at(t, flat_dim(cc_slots) + c)];
+  }
+  [[nodiscard]] double& mask(std::size_t t, std::size_t c) noexcept {
+    return steps[at(t, flat_dim(cc_slots) + c)];
+  }
+  [[nodiscard]] double global(std::size_t t, std::size_t g) const noexcept {
+    return steps[at(t, cc_slots * kCcFeatureDim + g)];
+  }
+  [[nodiscard]] double agg(std::size_t t) const noexcept {
+    return steps[at(t, cc_slots * kCcFeatureDim + kGlobalFeatureDim)];
+  }
+  [[nodiscard]] double& agg(std::size_t t) noexcept {
+    return steps[at(t, cc_slots * kCcFeatureDim + kGlobalFeatureDim)];
+  }
+  [[nodiscard]] std::span<const double> flat(std::size_t t) const noexcept {
+    return {steps.data() + at(t, 0), flat_dim(cc_slots)};
+  }
+  [[nodiscard]] double cc_target_at(std::size_t h, std::size_t c) const noexcept {
+    return cc_target[h * cc_slots + c];
+  }
+
+ private:
+  [[nodiscard]] std::size_t at(std::size_t t, std::size_t i) const noexcept {
+    return t * step_dim(cc_slots) + i;
+  }
 };
 
 /// Windowing parameters (paper: input length 10, output length 10).
@@ -63,26 +114,13 @@ struct DatasetSpec {
   std::size_t stride = 1;
 };
 
-/// Normalized features of a single trace step: exactly what one history
-/// row of a Window holds. Shared by the batch windowing below and by the
-/// serve path's per-UE ring buffers, which featurize each sample once at
-/// ingest instead of rebuilding whole windows per request.
-struct StepFeatures {
-  /// [C][kCcFeatureDim] normalized per-CC features.
-  std::vector<std::vector<double>> cc;
-  /// [C] binary activation mask.
-  std::vector<double> mask;
-  /// [kGlobalFeatureDim] global features (RRC event flag, CC count).
-  std::vector<double> global;
-  /// Normalized aggregate throughput.
-  double agg = 0.0;
-};
-
-/// Featurize one trace step into `out`, reusing its existing capacity
-/// (no allocation once `out` has been through one call with the same
-/// `cc_slots`). Normalization matches build_window exactly.
+/// Featurize one trace step into a history row of step_dim(cc_slots)
+/// values, in place. Shared by the batch windowing below and by the serve
+/// path's per-UE rings, which featurize each sample once at ingest.
+/// Samples with fewer than `cc_slots` CCs are padded with inactive
+/// slots; more than `cc_slots` is a contract violation.
 void featurize_step(const sim::TraceSample& s, std::size_t cc_slots,
-                    double tput_scale_mbps, StepFeatures& out);
+                    double tput_scale_mbps, std::span<double> row);
 
 /// Build one window from trace samples starting at `start` (history
 /// begins there; targets follow). Used by Dataset and by the QoE apps'
@@ -112,13 +150,6 @@ class Dataset {
   /// Mbps value that normalizes to 1.0 (dataset max aggregate tput).
   [[nodiscard]] double tput_scale_mbps() const noexcept { return tput_scale_mbps_; }
   [[nodiscard]] std::size_t trace_count() const noexcept { return trace_count_; }
-
-  /// Flattened per-step feature vector (all CCs + globals + aggregate);
-  /// the representation baseline models consume.
-  [[nodiscard]] static std::vector<double> flatten_step(const Window& w, std::size_t t);
-  [[nodiscard]] std::size_t flat_dim() const noexcept {
-    return cc_slots_ * kCcFeatureDim + kGlobalFeatureDim + 1;
-  }
 
   /// View of windows split into train/val/test.
   struct Split {

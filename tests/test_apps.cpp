@@ -5,7 +5,7 @@
 
 #include "apps/abr.hpp"
 #include "apps/vivo.hpp"
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "test_helpers.hpp"
 
 namespace {

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "nn/attention.hpp"
 #include "nn/optim.hpp"
 

@@ -1,7 +1,7 @@
 // Unit + property tests for the 3GPP band catalogue.
 #include <gtest/gtest.h>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "phy/band.hpp"
 
 namespace {

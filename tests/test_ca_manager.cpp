@@ -3,7 +3,7 @@
 // the low-band-PCell preference.
 #include <gtest/gtest.h>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "ran/ca_manager.hpp"
 
 namespace {

@@ -1,7 +1,7 @@
 // Unit tests for the UE capability table (paper Table 5, Fig. 29).
 #include <gtest/gtest.h>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "ue/capability.hpp"
 
 namespace {

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <vector>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "radio/channel_model.hpp"

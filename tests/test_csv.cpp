@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "common/csv.hpp"
 
 namespace {

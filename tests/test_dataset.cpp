@@ -4,7 +4,7 @@
 
 #include <set>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "sim/engine.hpp"
 #include "traces/dataset.hpp"
 
@@ -43,23 +43,22 @@ TEST(Dataset, WindowCountsMatchSpec) {
 TEST(Dataset, WindowShapes) {
   const auto ds = traces::Dataset::from_traces(make_traces(1, 5.0), {});
   const auto& w = ds.windows().front();
-  EXPECT_EQ(w.cc_feat.size(), 10u);
-  EXPECT_EQ(w.cc_feat[0].size(), 4u);
-  EXPECT_EQ(w.cc_feat[0][0].size(), traces::kCcFeatureDim);
-  EXPECT_EQ(w.mask.size(), 10u);
-  EXPECT_EQ(w.global.size(), 10u);
-  EXPECT_EQ(w.agg_history.size(), 10u);
+  EXPECT_EQ(w.history(), 10u);
+  EXPECT_EQ(w.cc_slots, 4u);
+  EXPECT_EQ(w.cc(0, 0).size(), traces::kCcFeatureDim);
+  // Per row: 4 CCs x 13 features, 2 globals, the aggregate, 4 mask bits.
+  EXPECT_EQ(traces::step_dim(4), 4 * traces::kCcFeatureDim + traces::kGlobalFeatureDim + 1 + 4);
+  EXPECT_EQ(w.steps.size(), 10u * traces::step_dim(4));
   EXPECT_EQ(w.target.size(), 10u);
-  EXPECT_EQ(w.cc_target.size(), 10u);
-  EXPECT_EQ(w.cc_target[0].size(), 4u);
+  EXPECT_EQ(w.cc_target.size(), 10u * 4u);
 }
 
 TEST(Dataset, FeaturesAreNormalized) {
   const auto ds = traces::Dataset::from_traces(make_traces(2, 5.0), {});
   for (const auto& w : ds.windows()) {
-    for (const auto& step : w.cc_feat)
-      for (const auto& cc : step)
-        for (double f : cc) {
+    for (std::size_t t = 0; t < w.history(); ++t)
+      for (std::size_t c = 0; c < w.cc_slots; ++c)
+        for (double f : w.cc(t, c)) {
           EXPECT_GE(f, -1e-9);
           EXPECT_LE(f, 1.5);
         }
@@ -73,9 +72,9 @@ TEST(Dataset, FeaturesAreNormalized) {
 TEST(Dataset, MaskMatchesActiveFeature) {
   const auto ds = traces::Dataset::from_traces(make_traces(1, 5.0), {});
   for (const auto& w : ds.windows())
-    for (std::size_t t = 0; t < w.mask.size(); ++t)
-      for (std::size_t c = 0; c < w.mask[t].size(); ++c)
-        EXPECT_DOUBLE_EQ(w.mask[t][c], w.cc_feat[t][c][traces::kFeatActive]);
+    for (std::size_t t = 0; t < w.history(); ++t)
+      for (std::size_t c = 0; c < w.cc_slots; ++c)
+        EXPECT_DOUBLE_EQ(w.mask(t, c), w.cc(t, c)[traces::kFeatActive]);
 }
 
 TEST(Dataset, CcTargetsSumToAggregateTarget) {
@@ -83,7 +82,7 @@ TEST(Dataset, CcTargetsSumToAggregateTarget) {
   for (const auto& w : ds.windows())
     for (std::size_t h = 0; h < w.target.size(); ++h) {
       double sum = 0.0;
-      for (double v : w.cc_target[h]) sum += v;
+      for (std::size_t c = 0; c < w.cc_slots; ++c) sum += w.cc_target_at(h, c);
       // Aggregate includes multiplexing inefficiency: sum ≥ aggregate.
       EXPECT_GE(sum + 1e-9, w.target[h]);
       EXPECT_LE(w.target[h], sum + 1e-9);
@@ -93,9 +92,18 @@ TEST(Dataset, CcTargetsSumToAggregateTarget) {
 
 TEST(Dataset, FlattenStepDimension) {
   const auto ds = traces::Dataset::from_traces(make_traces(1, 5.0), {});
-  const auto flat = traces::Dataset::flatten_step(ds.windows().front(), 0);
-  EXPECT_EQ(flat.size(), ds.flat_dim());
-  EXPECT_EQ(ds.flat_dim(), 4 * traces::kCcFeatureDim + traces::kGlobalFeatureDim + 1);
+  const auto& w = ds.windows().front();
+  const auto flat = w.flat(0);
+  EXPECT_EQ(flat.size(), traces::flat_dim(ds.cc_slots()));
+  EXPECT_EQ(traces::flat_dim(ds.cc_slots()),
+            4 * traces::kCcFeatureDim + traces::kGlobalFeatureDim + 1);
+  // Flat order: every CC's features, then the globals, then the aggregate.
+  for (std::size_t c = 0; c < 4; ++c)
+    for (std::size_t f = 0; f < traces::kCcFeatureDim; ++f)
+      EXPECT_EQ(flat[c * traces::kCcFeatureDim + f], w.cc(0, c)[f]);
+  for (std::size_t g = 0; g < traces::kGlobalFeatureDim; ++g)
+    EXPECT_EQ(flat[4 * traces::kCcFeatureDim + g], w.global(0, g));
+  EXPECT_EQ(flat.back(), w.agg(0));
 }
 
 TEST(Dataset, RandomSplitFractionsAndDisjointness) {
@@ -140,12 +148,21 @@ TEST(Dataset, BuildWindowStreaming) {
   // Window at the very end: allow_short_target truncates.
   const auto tail =
       traces::build_window(samples, samples.size() - 12, spec, 4, 1000.0, true);
-  EXPECT_EQ(tail.agg_history.size(), 10u);
+  EXPECT_EQ(tail.history(), 10u);
   EXPECT_EQ(tail.target.size(), 2u);
   // Without allow_short_target the same call is rejected.
   EXPECT_THROW(
       (void)traces::build_window(samples, samples.size() - 12, spec, 4, 1000.0),
       common::CheckError);
+}
+
+TEST(Dataset, BuildWindowRejectsMoreCcsThanSlots) {
+  auto samples = make_traces(1, 1.0).front().samples;
+  traces::DatasetSpec spec;
+  ASSERT_EQ(samples[3].ccs.size(), 4u);
+  samples[3].ccs.push_back(samples[3].ccs.front());  // cc_slots + 1 CCs
+  EXPECT_THROW((void)traces::build_window(samples, 0, spec, 4, 1000.0),
+               common::CheckError);
 }
 
 TEST(Dataset, EmptyInputsRejected) {

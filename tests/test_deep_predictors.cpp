@@ -2,7 +2,7 @@
 // structured data, early stopping, and prediction mechanics.
 #include <gtest/gtest.h>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "predictors/deep.hpp"
 #include "predictors/naive.hpp"
 #include "test_helpers.hpp"

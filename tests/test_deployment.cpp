@@ -3,7 +3,7 @@
 
 #include <set>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "ran/deployment.hpp"
 
 namespace {

@@ -2,7 +2,7 @@
 // determinism, CA dynamics, band locking, and scenario variants.
 #include <gtest/gtest.h>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "common/stats.hpp"
 #include "sim/engine.hpp"
 

@@ -1,7 +1,7 @@
 // Tests for the evaluation pipeline (dataset generation, model zoo).
 #include <gtest/gtest.h>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "eval/pipeline.hpp"
 #include "test_helpers.hpp"
 

@@ -1,7 +1,7 @@
 // Tests for permutation feature importance (explainability).
 #include <gtest/gtest.h>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "core/prism5g.hpp"
 #include "eval/importance.hpp"
 #include "predictors/naive.hpp"

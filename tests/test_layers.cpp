@@ -4,7 +4,7 @@
 #include <cmath>
 #include <functional>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "nn/layers.hpp"
 
 namespace {

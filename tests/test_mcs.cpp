@@ -1,7 +1,7 @@
 // Unit + property tests for the MCS/CQI tables and link-quality mapping.
 #include <gtest/gtest.h>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "phy/mcs.hpp"
 
 namespace {

@@ -3,7 +3,7 @@
 
 #include <cmath>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "ue/mobility.hpp"
 

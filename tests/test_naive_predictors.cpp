@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "predictors/naive.hpp"
 #include "test_helpers.hpp"
 
@@ -49,7 +49,7 @@ TEST(HarmonicMean, ConstantHistoryPredictsConstant) {
   HarmonicMeanPredictor hm;
   hm.fit(ds, {}, {});
   traces::Window w = ds.windows().front();
-  for (auto& x : w.agg_history) x = 0.4;
+  for (std::size_t t = 0; t < w.history(); ++t) w.agg(t) = 0.4;
   const auto pred = hm.predict(w);
   ASSERT_EQ(pred.size(), ds.horizon());
   for (double p : pred) EXPECT_NEAR(p, 0.4, 1e-9);
@@ -60,8 +60,8 @@ TEST(HarmonicMean, DominatedBySmallValues) {
   HarmonicMeanPredictor hm;
   hm.fit(ds, {}, {});
   traces::Window w = ds.windows().front();
-  for (auto& x : w.agg_history) x = 1.0;
-  w.agg_history.back() = 0.01;
+  for (std::size_t t = 0; t < w.history(); ++t) w.agg(t) = 1.0;
+  w.agg(w.history() - 1) = 0.01;
   const auto pred = hm.predict(w);
   // Harmonic mean of {1×9, 0.01} ≈ 0.092 — far below the arithmetic mean.
   EXPECT_LT(pred.front(), 0.2);
@@ -72,8 +72,8 @@ TEST(ProphetLite, ExtendsLinearTrend) {
   ProphetLitePredictor prophet({0, 1e-6});  // pure trend, no seasonality
   prophet.fit(ds, {}, {});
   traces::Window w = ds.windows().front();
-  for (std::size_t t = 0; t < w.agg_history.size(); ++t)
-    w.agg_history[t] = 0.1 + 0.02 * static_cast<double>(t);
+  for (std::size_t t = 0; t < w.history(); ++t)
+    w.agg(t) = 0.1 + 0.02 * static_cast<double>(t);
   const auto pred = prophet.predict(w);
   // Continuation of the line: next value ≈ 0.1 + 0.02·10 = 0.30.
   EXPECT_NEAR(pred.front(), 0.30, 0.02);
@@ -87,8 +87,8 @@ TEST(ProphetLite, OvershootsAtDrop) {
   ProphetLitePredictor prophet;
   prophet.fit(ds, {}, {});
   traces::Window w = ds.windows().front();
-  for (std::size_t t = 0; t < w.agg_history.size(); ++t)
-    w.agg_history[t] = 0.3 + 0.05 * static_cast<double>(t);
+  for (std::size_t t = 0; t < w.history(); ++t)
+    w.agg(t) = 0.3 + 0.05 * static_cast<double>(t);
   const auto pred = prophet.predict(w);
   EXPECT_GT(pred.back(), 0.6);  // keeps climbing ignorant of any drop
 }
@@ -98,8 +98,8 @@ TEST(ProphetLite, PredictionsClampedToValidRange) {
   ProphetLitePredictor prophet;
   prophet.fit(ds, {}, {});
   traces::Window w = ds.windows().front();
-  for (std::size_t t = 0; t < w.agg_history.size(); ++t)
-    w.agg_history[t] = 0.9 - 0.15 * static_cast<double>(t);  // steep dive
+  for (std::size_t t = 0; t < w.history(); ++t)
+    w.agg(t) = 0.9 - 0.15 * static_cast<double>(t);  // steep dive
   for (double p : prophet.predict(w)) {
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, 1.5);

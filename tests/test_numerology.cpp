@@ -1,7 +1,7 @@
 // Unit tests for NR numerology and RB capacity tables.
 #include <gtest/gtest.h>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "phy/numerology.hpp"
 
 namespace {

@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace_span.hpp"

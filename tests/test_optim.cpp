@@ -3,7 +3,7 @@
 
 #include <cmath>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "nn/layers.hpp"
 #include "nn/optim.hpp"
 

@@ -2,7 +2,7 @@
 // learning, per-CC decomposition, masking semantics, and ablations.
 #include <gtest/gtest.h>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "core/prism5g.hpp"
 #include "test_helpers.hpp"
 
@@ -102,8 +102,8 @@ TEST_F(Prism5gTest, MaskGatesInputs) {
   model.fit(*ds_, split_.train, split_.val);
   traces::Window w = *split_.test.front();
   const auto before = model.predict(w);
-  for (auto& step : w.mask)
-    for (auto& m : step) m = 0.0;
+  for (std::size_t t = 0; t < w.history(); ++t)
+    for (std::size_t c = 0; c < w.cc_slots; ++c) w.mask(t, c) = 0.0;
   const auto after = model.predict(w);
   double diff = 0.0;
   for (std::size_t h = 0; h < before.size(); ++h) diff += std::abs(before[h] - after[h]);
@@ -152,7 +152,7 @@ TEST_F(Prism5gTest, RespondsToCaStateChange) {
   const traces::Window* active_window = nullptr;
   for (const auto* w : split_.test) {
     bool all_on = true;
-    for (const auto& step : w->mask) all_on = all_on && step[1] > 0.5;
+    for (std::size_t t = 0; t < w->history(); ++t) all_on = all_on && w->mask(t, 1) > 0.5;
     if (all_on) {
       active_window = w;
       break;
@@ -161,9 +161,9 @@ TEST_F(Prism5gTest, RespondsToCaStateChange) {
   ASSERT_NE(active_window, nullptr);
 
   traces::Window off = *active_window;
-  for (std::size_t t = 0; t < off.mask.size(); ++t) {
-    off.mask[t][1] = 0.0;
-    for (auto& f : off.cc_feat[t][1]) f = 0.0;
+  for (std::size_t t = 0; t < off.history(); ++t) {
+    off.mask(t, 1) = 0.0;
+    for (auto& f : off.cc(t, 1)) f = 0.0;
   }
   const double with_cc1 = model.predict(*active_window).front();
   const double without_cc1 = model.predict(off).front();

@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "radio/propagation.hpp"
 
 namespace {

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 #include <cmath>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "ran/scheduler.hpp"

@@ -5,7 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "core/prism5g.hpp"
 #include "nn/serialize.hpp"
 #include "predictors/deep.hpp"

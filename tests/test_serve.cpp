@@ -54,7 +54,7 @@ class EchoPredictor final : public predictors::Predictor {
   void fit(const traces::Dataset&, std::span<const traces::Window* const>,
            std::span<const traces::Window* const>) override {}
   [[nodiscard]] std::vector<double> predict(const traces::Window& w) const override {
-    return {w.agg_history.back()};
+    return {w.agg(w.history() - 1)};
   }
 };
 
@@ -162,20 +162,29 @@ TEST(UeSession, StreamingWindowMatchesBatchBuildWindow) {
   const double scale = 900.0;
   traces::DatasetSpec spec;  // history 10, horizon 10
 
-  serve::UeSession session(spec.history, trace.cc_slots, scale);
-  for (std::size_t i = 0; i < 25; ++i) session.push(trace.samples[i]);
-  ASSERT_TRUE(session.warm());
-
+  // The ring's oldest row sits at slot pushes % 10: 0, 1, 9, 0 after a
+  // second wrap, 5 and 3. Every snapshot goes into the same Window, whose
+  // buffer must be reused rather than reallocated.
   traces::Window streamed;
-  session.snapshot(streamed);
-  // After 25 pushes the window covers samples [15, 25).
-  const auto batch = traces::build_window(trace.samples, 15, spec, trace.cc_slots,
-                                          scale, /*allow_short_target=*/true);
-  EXPECT_EQ(streamed.cc_feat, batch.cc_feat);
-  EXPECT_EQ(streamed.mask, batch.mask);
-  EXPECT_EQ(streamed.global, batch.global);
-  EXPECT_EQ(streamed.agg_history, batch.agg_history);
-  EXPECT_TRUE(streamed.target.empty());
+  const double* buffer = nullptr;
+  for (const std::size_t pushes : {10u, 11u, 19u, 20u, 25u, 33u}) {
+    SCOPED_TRACE(pushes);
+    serve::UeSession session(spec.history, trace.cc_slots, scale);
+    for (std::size_t i = 0; i < pushes; ++i) session.push(trace.samples[i]);
+    ASSERT_TRUE(session.warm());
+
+    session.snapshot(streamed);
+    if (buffer == nullptr) buffer = streamed.steps.data();
+    EXPECT_EQ(streamed.steps.data(), buffer);
+    // After n pushes the window covers samples [n - 10, n).
+    const auto batch = traces::build_window(trace.samples, pushes - spec.history, spec,
+                                            trace.cc_slots, scale,
+                                            /*allow_short_target=*/true);
+    EXPECT_EQ(streamed.cc_slots, batch.cc_slots);
+    EXPECT_EQ(streamed.steps, batch.steps);
+    EXPECT_TRUE(streamed.target.empty());
+    EXPECT_TRUE(streamed.cc_target.empty());
+  }
 }
 
 TEST(SessionTable, WarmupEraseAndCounts) {
@@ -195,6 +204,17 @@ TEST(SessionTable, WarmupEraseAndCounts) {
   EXPECT_FALSE(table.erase(77));
   EXPECT_FALSE(table.snapshot(77, w));
   EXPECT_EQ(table.session_count(), 0u);
+}
+
+TEST(SessionTable, PushRejectsMoreCcsThanSlots) {
+  const auto trace = test::synthetic_trace(3);
+  serve::SessionTable table(2, 10, trace.cc_slots, 900.0);
+  EXPECT_EQ(table.push(5, trace.samples[0]).seq, 1u);
+  auto extra = trace.samples[1];
+  extra.ccs.push_back(extra.ccs.front());  // cc_slots + 1 CCs
+  EXPECT_THROW((void)table.push(5, extra), common::CheckError);
+  // The rejected sample was not ingested.
+  EXPECT_EQ(table.push(5, trace.samples[2]).seq, 2u);
 }
 
 // --- ModelRegistry -----------------------------------------------------------

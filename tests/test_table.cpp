@@ -1,7 +1,7 @@
 // Unit tests for text-table formatting.
 #include <gtest/gtest.h>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "common/table.hpp"
 
 namespace {

@@ -2,7 +2,7 @@
 // Fig. 9).
 #include <gtest/gtest.h>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "phy/band.hpp"
 #include "phy/mcs.hpp"
 #include "phy/tbs.hpp"

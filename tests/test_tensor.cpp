@@ -6,7 +6,7 @@
 #include <functional>
 #include <set>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "nn/tensor.hpp"
 
 namespace {

@@ -1,7 +1,7 @@
 // Unit tests for trace containers, resampling, and CSV round-tripping.
 #include <gtest/gtest.h>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "sim/engine.hpp"
 #include "sim/trace_io.hpp"
 

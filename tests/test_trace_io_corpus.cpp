@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "obs/metrics.hpp"
 #include "sim/trace_io.hpp"
 #include "test_helpers.hpp"

@@ -3,7 +3,7 @@
 
 #include <cmath>
 
-#include "common/check.hpp"
+#include "common/contracts.hpp"
 #include "predictors/trees.hpp"
 #include "test_helpers.hpp"
 
@@ -136,7 +136,7 @@ TEST(Trees, PredictBeforeFitThrows) {
 TEST(Trees, FlattenWindowDimensions) {
   const auto ds = ca5g::test::synthetic_dataset(1, 100);
   const auto flat = flatten_window(ds.windows().front());
-  EXPECT_EQ(flat.size(), ds.history() * ds.flat_dim());
+  EXPECT_EQ(flat.size(), ds.history() * traces::flat_dim(ds.cc_slots()));
 }
 
 }  // namespace
