@@ -8,7 +8,10 @@
 #                                       CA5G_DCHECK contract family is on)
 #   3. Debug + TSan, -Werror           (the `parallel` label: thread pool,
 #                                       fleet sweep, thread-count
-#                                       determinism — see docs/TESTING.md)
+#                                       determinism, session ingest/
+#                                       snapshot, the micro-batching
+#                                       server, concurrent inference —
+#                                       see docs/TESTING.md)
 #
 # Between them, an observability smoke runs the `ca5g quickstart`
 # pipeline and asserts the exported metrics/report JSON is valid and
@@ -110,10 +113,10 @@ else
   run ctest --test-dir build-ci-asan --output-on-failure -j "$JOBS"
 fi
 
-# --- 3. TSan on the parallel pipeline ---------------------------------------
-# The work-stealing pool, fleet sweep, and thread-count-determinism tests
-# under ThreadSanitizer: any data race in the offline parallel pipeline
-# is fatal here. A failure is retried once so a flaky (racy-but-rarely)
+# --- 3. TSan on the parallel pipeline and the serving path ------------------
+# The work-stealing pool, fleet sweep, thread-count-determinism, serving
+# (SessionTable ingest/snapshot, PredictionServer) and concurrent
+# inference tests under ThreadSanitizer: any data race is fatal here. A failure is retried once so a flaky (racy-but-rarely)
 # test surfaces as FLAKY instead of hiding behind a green re-run; either
 # way the stage fails.
 run cmake -B build-ci-tsan -S . \
