@@ -54,15 +54,14 @@ namespace ca5g::serve {
 
 /// Every metric name the serve subsystem registers; prism5g_lint
 /// validates each against the layer.noun_unit naming convention.
-inline constexpr std::array<std::string_view, 15> kServeMetricNames = {
+inline constexpr std::array<std::string_view, 13> kServeMetricNames = {
     "serve.requests_total",      "serve.warmup_rejected_total",
     "serve.shed_total",          "serve.completed_total",
     "serve.errors_total",        "serve.batches_total",
     "serve.model_swaps_total",   "serve.queue_depth_count",
     "serve.sessions_count",      "serve.batch_size_count",
     "serve.batch_assemble_ns",   "serve.predict_ns",
-    "serve.request_latency_ns",  "serve.loadgen_offered_total",
-    "serve.loadgen_errors_total",
+    "serve.request_latency_ns",
 };
 
 /// Outcome of submitting one sample.

@@ -1,18 +1,14 @@
 // Shared test fixtures: a fast, fully synthetic trace with a learnable
 // structure (periodic per-CC throughput plus CA on/off square wave), the
 // canned urban-drive scenario the determinism/integration suites pin
-// their seeds to, downsized generation/training configs, and a small
-// pre-fitted predictor for serving tests — so each suite doesn't grow
-// its own slightly-different copy of this setup.
+// their seeds to, and downsized generation/training configs — so each
+// suite doesn't grow its own slightly-different copy of this setup.
 #pragma once
 
 #include <cmath>
-#include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "eval/pipeline.hpp"
-#include "predictors/naive.hpp"
 #include "sim/engine.hpp"
 #include "sim/trace.hpp"
 #include "traces/dataset.hpp"
@@ -123,17 +119,6 @@ inline predictors::TrainConfig tiny_train_config() {
   config.layers = 1;
   config.batch_size = 32;
   return config;
-}
-
-/// A small predictor already fitted on `ds` — what serving tests need to
-/// exercise the registry/server path without caring about model quality.
-inline std::shared_ptr<predictors::Predictor> fitted_small_predictor(
-    const traces::Dataset& ds, std::uint64_t seed = 3) {
-  auto model = std::make_shared<predictors::HarmonicMeanPredictor>();
-  common::Rng rng(seed);
-  const auto split = ds.random_split(0.5, 0.2, rng);
-  model->fit(ds, split.train, split.val);
-  return model;
 }
 
 }  // namespace ca5g::test

@@ -1,21 +1,20 @@
 // Tests for the serving subsystem: bounded queue semantics, streaming
 // session windows (must match batch build_window feature-for-feature),
 // the model registry's hot-swap, and the PredictionServer's edge cases —
-// warm-up rejection, queue-full shedding, hot-swap mid-stream, and a
-// batch deadline firing with a partial batch.
+// warm-up rejection, queue-full shedding with exactly-once delivery of
+// every admitted request, the serve.* metric contract, hot-swap
+// mid-stream, and a batch deadline firing with a partial batch.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
-#include "predictors/naive.hpp"
+#include "obs/metrics.hpp"
 #include "serve/bounded_queue.hpp"
-#include "serve/loadgen.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
@@ -300,14 +299,79 @@ TEST(PredictionServer, QueueFullSheds) {
   Collector sink;
   serve::PredictionServer server(config, registry, sink.fn());
 
+  // Sample i carries seq i + 1; the queued seqs are the requests the
+  // server owes a prediction.
   std::size_t shed = 0;
+  std::vector<std::uint64_t> queued;
   for (std::size_t i = 0; i < 200; ++i) {
-    const auto admit = server.submit(9, trace.samples[i % trace.samples.size()]);
+    const auto admit = server.submit(9, trace.samples[i]);
     if (admit == serve::Admit::kShed) ++shed;
+    if (admit == serve::Admit::kQueued) queued.push_back(i + 1);
   }
   EXPECT_GT(shed, 0u) << "a wedged 2-slot queue must shed a 200-request burst";
+  EXPECT_EQ(queued.size() + shed + 9u, 200u);  // 9 warm-up samples
   server.drain();  // the admitted remainder still completes
+
+  // Every queued request is delivered exactly once; shed ones never are.
+  auto preds = sink.snapshot();
+  ASSERT_EQ(preds.size(), queued.size());
+  std::sort(preds.begin(), preds.end(),
+            [](const auto& a, const auto& b) { return a.seq < b.seq; });
+  for (std::size_t i = 0; i < preds.size(); ++i) {
+    EXPECT_TRUE(preds[i].ok);
+    EXPECT_EQ(preds[i].seq, queued[i]);
+  }
 }
+
+#if PRISM5G_OBS_ENABLED
+TEST(PredictionServer, RegistersEveryListedMetric) {
+  // Read baselines from a snapshot: looking a counter up by name would
+  // register it and hide a name the server never uses.
+  const auto counter = [](std::string_view name) -> std::uint64_t {
+    const auto snapshot = obs::MetricsRegistry::global().snapshot();
+    const auto* value = snapshot.counter(name);
+    return value == nullptr ? 0 : *value;
+  };
+  const auto requests0 = counter("serve.requests_total");
+  const auto warmup0 = counter("serve.warmup_rejected_total");
+  const auto shed0 = counter("serve.shed_total");
+  const auto completed0 = counter("serve.completed_total");
+  const auto errors0 = counter("serve.errors_total");
+
+  const auto trace = test::synthetic_trace(30);
+  serve::ModelRegistry registry;
+  registry.install("const", std::make_shared<ConstPredictor>(0.5));
+  Collector sink;
+  std::size_t queued = 0, warmup = 0, shed = 0;
+  {
+    serve::PredictionServer server(small_config(), registry, sink.fn());
+    for (std::size_t i = 0; i < trace.samples.size(); ++i) {
+      for (serve::UeId ue = 1; ue <= 2; ++ue) {
+        switch (server.submit(ue, trace.samples[i])) {
+          case serve::Admit::kQueued: ++queued; break;
+          case serve::Admit::kWarmingUp: ++warmup; break;
+          case serve::Admit::kShed: ++shed; break;
+          case serve::Admit::kClosed: ADD_FAILURE() << "server closed mid-run"; break;
+        }
+      }
+    }
+    server.drain();
+  }
+  ASSERT_EQ(sink.snapshot().size(), queued);
+  EXPECT_EQ(warmup, 18u);
+
+  const auto names = obs::MetricsRegistry::global().names();
+  for (const auto name : serve::kServeMetricNames)
+    EXPECT_TRUE(std::find(names.begin(), names.end(), name) != names.end())
+        << name << " is listed in kServeMetricNames but never registered";
+
+  EXPECT_EQ(counter("serve.requests_total") - requests0, queued);
+  EXPECT_EQ(counter("serve.warmup_rejected_total") - warmup0, warmup);
+  EXPECT_EQ(counter("serve.shed_total") - shed0, shed);
+  EXPECT_EQ(counter("serve.completed_total") - completed0, queued);
+  EXPECT_EQ(counter("serve.errors_total"), errors0);
+}
+#endif
 
 TEST(PredictionServer, HotSwapMidStream) {
   const auto trace = test::synthetic_trace(200);
@@ -378,39 +442,6 @@ TEST(PredictionServer, SubmitAfterStopIsClosed) {
   serve::PredictionServer server(small_config(), registry, sink.fn());
   server.stop();
   EXPECT_EQ(server.submit(1, trace.samples[0]), serve::Admit::kClosed);
-}
-
-// --- LoadGen -----------------------------------------------------------------
-
-TEST(LoadGen, ClosedLoopReplayCompletesWithoutErrors) {
-  const auto trace = test::synthetic_trace(300);
-  traces::DatasetSpec spec;
-  const auto ds = traces::Dataset::from_traces({trace}, spec);
-
-  serve::ModelRegistry registry;
-  registry.install("hm", test::fitted_small_predictor(ds));
-
-  serve::ServerConfig server_config = small_config();
-  server_config.tput_scale_mbps = ds.tput_scale_mbps();
-
-  serve::LoadGenConfig gen_config;
-  gen_config.ues = 4;
-  gen_config.speed = 1000.0;
-  gen_config.closed_loop = true;
-  gen_config.max_in_flight = 32;
-  gen_config.duration_s = 0.0;  // one full deterministic pass
-  gen_config.expected_horizon = ds.horizon();
-
-  serve::LoadGen gen(gen_config);
-  serve::PredictionServer server(server_config, registry, gen.completion());
-  const auto report = gen.run(server, trace);
-
-  EXPECT_EQ(report.offered, trace.samples.size() * gen_config.ues);
-  EXPECT_EQ(report.errors, 0u);
-  EXPECT_EQ(report.warmup, 9u * gen_config.ues);
-  EXPECT_EQ(report.completed + report.shed, report.offered - report.warmup);
-  EXPECT_GT(report.completed, 0u);
-  EXPECT_GT(report.p99_latency_ns, 0.0);
 }
 
 }  // namespace

@@ -7,14 +7,11 @@
 //                  --model Prism5G [--save model.bin]
 //   ca5g qoe       --app vivo|abr --model Prism5G
 //   ca5g quickstart [--seed N]       (sim → trace I/O → train → evaluate)
-//   ca5g serve     --model HarmonicMean --ues 8 --workers 4 [--speed X]
-//   ca5g loadgen   --speed 200 --duration 2 [--closed-loop 1] [--trace F]
 //   ca5g sweep     --ues 8 --duration 10 --threads 0 [--seed N]
 //
 // Every subcommand accepts --metrics-out FILE (metrics registry JSON) and
 // --report-out FILE (run summary JSON + FILE.events.jsonl timeline).
-// Every subcommand is deterministic for a given --seed (serve/loadgen:
-// the offered request stream is; completion timing is wall-clock).
+// Every subcommand is deterministic for a given --seed.
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -28,8 +25,6 @@
 #include "eval/pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
-#include "serve/loadgen.hpp"
-#include "serve/server.hpp"
 #include "sim/sweep.hpp"
 #include "sim/trace_io.hpp"
 
@@ -378,129 +373,6 @@ int cmd_quickstart(int argc, char** argv) {
   return 0;
 }
 
-// serve / loadgen: the online serving path. Both run the full in-process
-// stack — simulate (or load) a trace, fit the model, install it in a
-// ModelRegistry, start the micro-batching PredictionServer, and drive it
-// with the deterministic trace-replay LoadGen. `serve` defaults to an
-// open-loop real-time-ish demo; `loadgen` defaults to a 200× replay that
-// stresses the batching path (CI's serve smoke stage runs it for 2 s).
-int cmd_serve_or_loadgen(int argc, char** argv, bool is_loadgen) {
-  const auto args = parse_args(argc, argv, 2);
-  const auto seed = std::stoull(get(args, "seed", "7"));
-  const auto model_name = get(args, "model", "HarmonicMean");
-
-  obs::RunReport report(is_loadgen ? "loadgen" : "serve");
-  report.meta("model", model_name);
-  report.meta("seed", static_cast<double>(seed));
-
-  // 1. The trace to replay: a recorded CSV, or a fresh simulation.
-  report.event("phase", "acquire-trace");
-  sim::Trace trace;
-  const auto trace_path = get(args, "trace", "");
-  if (!trace_path.empty()) {
-    trace = sim::load_trace(trace_path);
-  } else {
-    sim::ScenarioConfig scenario;
-    scenario.op = parse_op(get(args, "op", "OpZ"));
-    scenario.env = parse_env(get(args, "env", "urban"));
-    scenario.ue_indoor = scenario.env == radio::Environment::kIndoor;
-    scenario.mobility = parse_mobility(get(args, "mobility", "driving"));
-    scenario.duration_s = std::stod(get(args, "sim-duration", "20"));
-    scenario.seed = seed;
-    std::cout << "Simulating a " << scenario.duration_s << " s replay trace...\n";
-    trace = sim::run_scenario(scenario);
-  }
-
-  // 2. Fit (or load) the serving model on windows of that trace; the
-  // dataset also fixes the normalization scale the sessions will use.
-  report.event("phase", "fit-model");
-  traces::DatasetSpec spec;
-  spec.stride = 5;
-  const auto ds = traces::Dataset::from_traces({trace}, spec);
-  common::Rng rng(seed);
-  const auto split = ds.random_split(0.5, 0.2, rng);
-  std::shared_ptr<predictors::Predictor> model{eval::make_predictor(model_name)};
-  const auto load_path = get(args, "load", "");
-  if (!load_path.empty()) {
-    auto* deep = dynamic_cast<predictors::DeepPredictor*>(model.get());
-    if (deep == nullptr) {
-      std::cerr << "--load is only supported for deep models\n";
-      return 2;
-    }
-    deep->load(ds, load_path);
-    std::cout << "loaded " << model->name() << " parameters from " << load_path << "\n";
-  } else {
-    std::cout << "Fitting " << model->name() << " on " << split.train.size()
-              << " windows...\n";
-    model->fit(ds, split.train, split.val);
-  }
-
-  serve::ModelRegistry registry;
-  registry.install(model->name(), model);
-
-  // 3. Server + load generator.
-  serve::ServerConfig server_config;
-  server_config.workers = std::stoul(get(args, "workers", "4"));
-  server_config.max_batch = std::stoul(get(args, "batch", "32"));
-  server_config.batch_deadline =
-      std::chrono::microseconds(std::stoul(get(args, "deadline-us", "1000")));
-  server_config.queue_capacity = std::stoul(get(args, "queue", "4096"));
-  server_config.history = ds.history();
-  server_config.cc_slots = ds.cc_slots();
-  server_config.tput_scale_mbps = ds.tput_scale_mbps();
-
-  serve::LoadGenConfig gen_config;
-  gen_config.ues = std::stoul(get(args, "ues", "8"));
-  gen_config.speed = std::stod(get(args, "speed", is_loadgen ? "200" : "1"));
-  gen_config.closed_loop = get(args, "closed-loop", "0") == "1";
-  gen_config.max_in_flight = std::stoul(get(args, "max-in-flight", "256"));
-  gen_config.duration_s = std::stod(get(args, "duration", is_loadgen ? "2" : "5"));
-  gen_config.seed = seed;
-  gen_config.expected_horizon = ds.horizon();
-
-  report.meta("workers", static_cast<double>(server_config.workers));
-  report.meta("max_batch", static_cast<double>(server_config.max_batch));
-  report.meta("ues", static_cast<double>(gen_config.ues));
-  report.meta("speed", gen_config.speed);
-
-  report.event("phase", "replay");
-  std::cout << "Serving " << gen_config.ues << " UEs with " << server_config.workers
-            << " workers (batch " << server_config.max_batch << ", deadline "
-            << server_config.batch_deadline.count() << " µs, "
-            << (gen_config.closed_loop ? "closed" : "open") << " loop, "
-            << gen_config.speed << "x)...\n";
-  serve::LoadGen gen(gen_config);
-  serve::LoadGenReport result;
-  {
-    serve::PredictionServer server(server_config, registry, gen.completion());
-    result = gen.run(server, trace);
-    server.stop();
-  }
-
-  common::TextTable table(is_loadgen ? "Load generator report" : "Serve session report");
-  table.set_header({"Metric", "Value"});
-  table.add_row({"offered", std::to_string(result.offered)});
-  table.add_row({"admitted", std::to_string(result.admitted)});
-  table.add_row({"completed", std::to_string(result.completed)});
-  table.add_row({"warm-up rejected", std::to_string(result.warmup)});
-  table.add_row({"shed", std::to_string(result.shed)});
-  table.add_row({"errors", std::to_string(result.errors)});
-  table.add_row({"wall (s)", common::TextTable::num(result.wall_s, 2)});
-  table.add_row({"completed/s", common::TextTable::num(result.completed_per_s, 0)});
-  table.add_row({"p50 latency (ms)", common::TextTable::num(result.p50_latency_ns / 1e6, 3)});
-  table.add_row({"p99 latency (ms)", common::TextTable::num(result.p99_latency_ns / 1e6, 3)});
-  std::cout << table;
-
-  report.kpi("offered", static_cast<double>(result.offered));
-  report.kpi("completed", static_cast<double>(result.completed));
-  report.kpi("shed", static_cast<double>(result.shed));
-  report.kpi("errors", static_cast<double>(result.errors));
-  report.kpi("completed_per_s", result.completed_per_s);
-  report.kpi("p99_latency_ms", result.p99_latency_ns / 1e6);
-  export_telemetry(args, report);
-  return 0;
-}
-
 // sweep: the fleet-scale offline pipeline. Enumerates the (operator,
 // mobility, UE) cross product, runs every unit concurrently on the
 // work-stealing pool, and prints per-cell statistics plus the fleet
@@ -563,13 +435,6 @@ void usage() {
             << "            [--save model.bin] [--seed N]\n"
             << "  qoe       --app vivo|abr --model <name> [--seed N]\n"
             << "  quickstart [--seed N]   small end-to-end sim+train+eval pass\n"
-            << "  serve     open-loop online prediction demo: per-UE streaming\n"
-            << "            sessions + micro-batched inference\n"
-            << "            [--model N] [--load F] [--trace F] [--ues N] [--workers N]\n"
-            << "            [--batch N] [--deadline-us N] [--queue N] [--speed X]\n"
-            << "            [--duration S] [--sim-duration S] [--seed N]\n"
-            << "  loadgen   trace-replay load generator against an in-process server\n"
-            << "            (same flags; plus [--closed-loop 0|1] [--max-in-flight N])\n"
             << "  sweep     fleet-scale parallel simulation sweep over the\n"
             << "            (operator, mobility, UE) cross product\n"
             << "            [--ues N] [--duration S] [--step S] [--env E] [--seed N]\n"
@@ -595,8 +460,6 @@ int main(int argc, char** argv) {
     if (command == "evaluate") return cmd_evaluate(argc, argv);
     if (command == "qoe") return cmd_qoe(argc, argv);
     if (command == "quickstart") return cmd_quickstart(argc, argv);
-    if (command == "serve") return cmd_serve_or_loadgen(argc, argv, /*is_loadgen=*/false);
-    if (command == "loadgen") return cmd_serve_or_loadgen(argc, argv, /*is_loadgen=*/true);
     if (command == "sweep") return cmd_sweep(argc, argv);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
