@@ -51,6 +51,118 @@ TEST(GoldenTrace, HashIsSensitiveToSeed) {
   EXPECT_NE(sim::trace_hash(a), sim::trace_hash(b));
 }
 
+struct Fnv1a {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFU;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+};
+
+// FNV-1a 64 over the IEEE-754 bits of every double and the value of
+// every integer field of every sample, CC slot and RRC event of the
+// scenario matrix below. trace_hash() formats doubles at 10 significant
+// digits, so it cannot see a last-bit change; this digest can. A
+// refactor of the engine must keep it unchanged.
+constexpr std::uint64_t kGoldenScenarioMatrixHash = 0xd376f55f60010e47ULL;
+
+std::vector<sim::ScenarioConfig> golden_scenario_matrix() {
+  std::vector<sim::ScenarioConfig> matrix;
+  auto add = [&](ran::OperatorId op, radio::Environment env, sim::Mobility mobility,
+                 double duration_s, double step_s) -> sim::ScenarioConfig& {
+    sim::ScenarioConfig config;
+    config.op = op;
+    config.env = env;
+    config.mobility = mobility;
+    config.duration_s = duration_s;
+    config.step_s = step_s;
+    config.seed = 31 + matrix.size();
+    matrix.push_back(config);
+    return matrix.back();
+  };
+  using radio::Environment;
+  using ran::OperatorId;
+  add(OperatorId::kOpZ, Environment::kUrbanMacro, sim::Mobility::kDriving, 4.0, 0.01);
+  add(OperatorId::kOpZ, Environment::kSuburbanMacro, sim::Mobility::kWalking, 3.0, 0.01);
+  // Coarse steps: the CSI delay rounds to one step, a two-row history.
+  add(OperatorId::kOpX, Environment::kHighway, sim::Mobility::kDriving, 10.0, 0.1);
+  add(OperatorId::kOpZ, Environment::kIndoor, sim::Mobility::kWalking, 3.0, 0.01)
+      .ue_indoor = true;
+  // OpY's urban deployment carries FR2 (mmWave) carriers; seed 2 walks
+  // the UE into their coverage.
+  auto& fr2 =
+      add(OperatorId::kOpY, Environment::kUrbanMacro, sim::Mobility::kWalking, 2.0, 0.01);
+  fr2.cc_slots = 8;
+  fr2.seed = 2;
+  add(OperatorId::kOpX, Environment::kUrbanMacro, sim::Mobility::kStationary, 1.0, 0.01)
+      .rat = phy::Rat::kLte;
+  auto& locked =
+      add(OperatorId::kOpZ, Environment::kUrbanMacro, sim::Mobility::kDriving, 3.0, 0.01);
+  locked.band_lock = {phy::BandId::kN41};
+  locked.start_hour = 17.5;  // the load shoulder
+  return matrix;
+}
+
+void add_bit_exact(const sim::Trace& trace, Fnv1a& fnv) {
+  fnv.add(static_cast<std::uint64_t>(trace.samples.size()));
+  for (const auto& s : trace.samples) {
+    fnv.add(s.time_s);
+    fnv.add(s.hour_of_day);
+    fnv.add(s.pos.x);
+    fnv.add(s.pos.y);
+    fnv.add(static_cast<std::uint64_t>(s.events.size()));
+    for (const auto& e : s.events) {
+      fnv.add(e.time_s);
+      fnv.add(static_cast<std::uint64_t>(e.type));
+      fnv.add(static_cast<std::uint64_t>(e.carrier));
+    }
+    fnv.add(static_cast<std::uint64_t>(s.ccs.size()));
+    for (const auto& cc : s.ccs) {
+      fnv.add(static_cast<std::uint64_t>(cc.active));
+      fnv.add(static_cast<std::uint64_t>(cc.is_pcell));
+      fnv.add(static_cast<std::uint64_t>(cc.carrier));
+      fnv.add(static_cast<std::uint64_t>(cc.band));
+      fnv.add(static_cast<std::uint64_t>(cc.bandwidth_mhz));
+      fnv.add(static_cast<std::uint64_t>(cc.pci));
+      fnv.add(static_cast<std::uint64_t>(cc.channel_index));
+      fnv.add(cc.rsrp_dbm);
+      fnv.add(cc.rsrq_db);
+      fnv.add(cc.sinr_db);
+      fnv.add(static_cast<std::uint64_t>(cc.cqi));
+      fnv.add(static_cast<std::uint64_t>(cc.rb));
+      fnv.add(static_cast<std::uint64_t>(cc.layers));
+      fnv.add(static_cast<std::uint64_t>(cc.mcs));
+      fnv.add(cc.bler);
+      fnv.add(cc.tput_mbps);
+    }
+    fnv.add(s.aggregate_tput_mbps);
+  }
+}
+
+TEST(GoldenTrace, BitExactScenarioMatrix) {
+  Fnv1a fnv;
+  std::size_t fr2_samples = 0;
+  std::size_t events = 0;
+  for (const auto& config : golden_scenario_matrix()) {
+    const auto trace = sim::run_scenario(config);
+    ASSERT_FALSE(trace.samples.empty());
+    for (const auto& s : trace.samples) {
+      events += s.events.size();
+      for (const auto& cc : s.ccs) fr2_samples += cc.active && phy::is_mmwave(cc.band);
+    }
+    add_bit_exact(trace, fnv);
+  }
+  EXPECT_GT(fr2_samples, 0u) << "the matrix no longer exercises FR2 carriers";
+  EXPECT_GT(events, 0u) << "the matrix no longer records RRC events";
+  EXPECT_EQ(fnv.h, kGoldenScenarioMatrixHash)
+      << "simulated values changed in some bit. If intentional, update "
+         "kGoldenScenarioMatrixHash to 0x" << std::hex << fnv.h
+      << " per the procedure in docs/TESTING.md.";
+}
+
 TEST(RngSubstream, PureFunctionOfSeedAndId) {
   const common::Rng root(99);
   auto a = root.substream(7);
@@ -146,17 +258,6 @@ traces::Dataset golden_window_dataset() {
   spec.stride = 1;
   return traces::Dataset::from_traces(list, spec);
 }
-
-struct Fnv1a {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFFU;
-      h *= 0x100000001B3ULL;
-    }
-  }
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-};
 
 // Canonical order: per history step t, per CC c the 13 features then
 // mask[c]; then the globals and the aggregate; then the targets, the
