@@ -1,7 +1,10 @@
 // Unit + property tests for propagation models.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+
 #include "common/contracts.hpp"
 #include "radio/propagation.hpp"
 
@@ -63,6 +66,27 @@ TEST(Propagation, NoisePower) {
   EXPECT_THROW((void)noise_power_dbm(0.0), ca5g::common::CheckError);
   EXPECT_THROW((void)path_loss_db(-1.0, 100, Environment::kUrbanMacro),
                ca5g::common::CheckError);
+}
+
+// The engine evaluates path loss as a per-site distance term plus a
+// per-carrier frequency term; their sum must be path_loss_db bit for bit.
+TEST(Propagation, SplitTermsSumToPathLossBitExact) {
+  for (int e = 0; e < 4; ++e) {
+    const auto env = static_cast<Environment>(e);
+    for (double freq : {600.0, 1900.0, 2506.0, 3700.0, 23999.0, 24000.0, 28500.0, 39000.0}) {
+      for (double d : {0.0, 1.0, 9.99, 10.0, 57.3, 250.0, 1234.5, 30000.0}) {
+        const double split = path_loss_distance_db(log10_distance(d), is_fr2(freq), env) +
+                             path_loss_frequency_db(freq);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(split),
+                  std::bit_cast<std::uint64_t>(path_loss_db(freq, d, env)))
+            << "env " << e << " freq " << freq << " d " << d;
+      }
+    }
+  }
+  EXPECT_FALSE(is_fr2(23999.0));
+  EXPECT_TRUE(is_fr2(24000.0));
+  EXPECT_EQ(log10_distance(3.0), 1.0);
+  EXPECT_THROW((void)path_loss_frequency_db(0.0), ca5g::common::CheckError);
 }
 
 // Property: path loss is monotone in distance for every environment.
