@@ -99,19 +99,28 @@ int main(int argc, char** argv) {
 
 #if PRISM5G_OBS_ENABLED
   // Estimate the instrumentation share of the sim run: the registry
-  // knows exactly how many updates the run performed; each costs about
-  // a counter-inc or an observe.
+  // knows exactly how many updates the run performed. Every instrument
+  // on the simulator path counts one update per call — a counter value
+  // is a call count, and quantities such as granted RBs go into a
+  // histogram's sum. A counter update costs one inc; a `_ns` histogram
+  // is fed by a ScopedTimer (clock reads plus the observe); any other
+  // histogram update costs one observe.
   const auto snapshot = obs::MetricsRegistry::global().snapshot();
   double counter_updates = 0.0;
   for (const auto& kv : snapshot.counters)
     if (kv.first.rfind("bench.", 0) != 0) counter_updates += static_cast<double>(kv.second);
+  double timer_updates = 0.0;
   double observe_updates = 0.0;
-  for (const auto& h : snapshot.histograms)
-    if (h.name.rfind("bench.", 0) != 0) observe_updates += static_cast<double>(h.count);
-  const double instrument_ns = counter_updates * counter_ns + observe_updates * observe_ns;
+  for (const auto& h : snapshot.histograms) {
+    if (h.name.rfind("bench.", 0) == 0) continue;
+    const bool timed = h.name.size() > 3 && h.name.compare(h.name.size() - 3, 3, "_ns") == 0;
+    (timed ? timer_updates : observe_updates) += static_cast<double>(h.count);
+  }
+  const double instrument_ns =
+      counter_updates * counter_ns + timer_updates * timer_ns + observe_updates * observe_ns;
   const double share = 100.0 * instrument_ns / sim_wall_ns;
   engine.add_row({"instrument updates",
-                  common::TextTable::num(counter_updates + observe_updates, 0)});
+                  common::TextTable::num(counter_updates + timer_updates + observe_updates, 0)});
   engine.add_row({"instrumentation share (%)", common::TextTable::num(share, 3)});
   std::cout << engine << "\n";
   bench_json.result("instrument_share_pct", share);

@@ -43,7 +43,8 @@ CcAllocation Scheduler::allocate(const Carrier& carrier, const radio::LinkMeasur
 
   CA5G_METRIC_COUNTER(grants, "ran.grants_total");
   CA5G_METRIC_COUNTER(no_grants, "ran.no_grant_total");
-  CA5G_METRIC_COUNTER(rb_granted, "ran.rb_granted_total");
+  // One observation per grant: count is grants, sum is RBs granted.
+  CA5G_METRIC_HISTOGRAM(grant_rb, "ran.grant_rb_count");
   CA5G_METRIC_COUNTER(scell_throttled, "ran.scell_throttled_total");
 
   CcAllocation alloc;
@@ -127,7 +128,7 @@ CcAllocation Scheduler::allocate(const Carrier& carrier, const radio::LinkMeasur
 
   alloc.tput_bps = raw_bps * (1.0 - alloc.bler) * utilization;
   grants.inc();
-  rb_granted.inc(static_cast<std::uint64_t>(alloc.rb));
+  grant_rb.observe(static_cast<double>(alloc.rb));
   return alloc;
 }
 
