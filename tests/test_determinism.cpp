@@ -11,10 +11,17 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/prism5g.hpp"
 #include "eval/pipeline.hpp"
+#include "predictors/deep.hpp"
 #include "sim/engine.hpp"
 #include "sim/sweep.hpp"
 #include "sim/trace_io.hpp"
@@ -288,6 +295,91 @@ TEST(GoldenWindow, ValueHashMatchesGolden) {
   EXPECT_EQ(hash, kGoldenWindowHash)
       << "window values changed. If intentional, update kGoldenWindowHash to 0x"
       << std::hex << hash << " per the procedure in docs/TESTING.md.";
+}
+
+// FNV-1a 64 over the IEEE-754 bits of every trainable parameter after a
+// seeded fit, then every predicted horizon value, for each deep model
+// of golden_models() in order. Nothing else pins trained weights: a
+// kernel refactor of src/nn must keep this digest unchanged.
+constexpr std::uint64_t kGoldenTrainedModelHash = 0x30d735abc0d123b7ULL;
+
+std::vector<std::unique_ptr<predictors::DeepPredictor>> golden_models() {
+  predictors::TrainConfig train;
+  train.epochs = 3;
+  // 4·12 = 48 gate columns and a 12-wide hidden state: the matmuls hit
+  // both full column tiles and column tails.
+  train.hidden = 12;
+  train.layers = 2;
+  train.batch_size = 8;
+  train.patience = 2;
+  predictors::TrainConfig single = train;
+  single.layers = 1;
+
+  core::Prism5gConfig no_state;
+  no_state.use_state = false;
+  core::Prism5gConfig no_fusion;
+  no_fusion.use_fusion = false;
+  core::Prism5gConfig transformer;
+  transformer.encoder = core::EncoderKind::kTransformer;
+
+  std::vector<std::unique_ptr<predictors::DeepPredictor>> models;
+  models.push_back(std::make_unique<predictors::LstmPredictor>(train));
+  models.push_back(std::make_unique<predictors::TcnPredictor>(train));
+  models.push_back(std::make_unique<predictors::Lumos5gPredictor>(single));
+  models.push_back(std::make_unique<core::Prism5G>(single));
+  models.push_back(std::make_unique<core::Prism5G>(single, no_state));
+  models.push_back(std::make_unique<core::Prism5G>(single, no_fusion));
+  models.push_back(std::make_unique<core::Prism5G>(single, transformer));
+  return models;
+}
+
+/// Fold the parameter payload of a saved model into `fnv`: the blob is
+/// a three-word header, then per tensor its rows and cols words and
+/// rows·cols float32 values (src/nn/serialize.cpp).
+void add_saved_parameters(const std::string& path, Fnv1a& fnv) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> blob{std::istreambuf_iterator<char>(in),
+                               std::istreambuf_iterator<char>()};
+  auto word = [&](std::size_t offset) {
+    std::uint32_t v = 0;
+    std::memcpy(&v, blob.data() + offset, sizeof v);
+    return v;
+  };
+  const std::uint32_t count = word(8);
+  std::size_t offset = 12;
+  for (std::uint32_t p = 0; p < count; ++p) {
+    const std::size_t n = std::size_t{word(offset)} * word(offset + 4);
+    offset += 8;
+    fnv.add(static_cast<std::uint64_t>(n));
+    for (std::size_t i = 0; i < n; ++i, offset += sizeof(float)) {
+      float v = 0.0f;
+      std::memcpy(&v, blob.data() + offset, sizeof v);
+      fnv.add(static_cast<std::uint64_t>(std::bit_cast<std::uint32_t>(v)));
+    }
+  }
+  ASSERT_EQ(offset, blob.size()) << path;
+}
+
+TEST(GoldenModel, TrainedWeightsBitExact) {
+  const auto ds = test::synthetic_dataset(2, 400);
+  common::Rng rng(41);
+  const auto split = ds.random_split(0.5, 0.2, rng);
+  const auto path =
+      (std::filesystem::temp_directory_path() / "ca5g_golden_model.bin").string();
+
+  Fnv1a fnv;
+  for (auto& model : golden_models()) {
+    model->fit(ds, split.train, split.val);
+    model->save(path);
+    add_saved_parameters(path, fnv);
+    for (const auto& horizon : model->predict_many(split.test))
+      for (double v : horizon) fnv.add(v);
+  }
+  std::filesystem::remove(path);
+  EXPECT_EQ(fnv.h, kGoldenTrainedModelHash)
+      << "trained weights or predictions changed. If intentional, update "
+         "kGoldenTrainedModelHash to 0x"
+      << std::hex << fnv.h << " per the procedure in docs/TESTING.md.";
 }
 
 TEST(Dataset, ParallelFeaturizationMatchesSerial) {
