@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "common/contracts.hpp"
+#include "nn/infer.hpp"
 
 namespace ca5g::nn {
 namespace {
@@ -61,50 +62,6 @@ std::shared_ptr<Node> make_result(std::size_t rows, std::size_t cols,
 
 void check_defined(const Tensor& t, const char* what) {
   CA5G_CHECK_MSG(t.defined(), "undefined tensor passed to " << what);
-}
-
-/// Cache-friendly (i,k,j) matmul kernel: C += A·B.
-void matmul_kernel(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
-                   std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aval = a[i * k + kk];
-      if (aval == 0.0f) continue;
-      const float* brow = b + kk * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += aval * brow[j];
-    }
-  }
-}
-
-/// C += Aᵀ·B where A is (m×k) interpreted transposed → (k×m)·(m×n).
-void matmul_at_b(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
-                 std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    const float* brow = b + i * n;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aval = arow[kk];
-      if (aval == 0.0f) continue;
-      float* crow = c + kk * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += aval * brow[j];
-    }
-  }
-}
-
-/// C += A·Bᵀ where B is (n×k): (m×k)·(k×n).
-void matmul_a_bt(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
-                 std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* brow = b + j * k;
-      float acc = 0.0f;
-      for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      crow[j] += acc;
-    }
-  }
 }
 
 }  // namespace
@@ -255,7 +212,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                                                                  << b.cols());
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   auto out = make_result(m, n, {a.node(), b.node()});
-  matmul_kernel(a.values().data(), b.values().data(), out->values.data(), m, k, n);
+  infer::matmul_ab(a.values().data(), b.values().data(), out->values.data(), m, k, n);
   if (out->requires_grad) {
     out->backward_fn = [m, k, n](Node& self) {
       Node& pa = *self.parents[0];
@@ -265,12 +222,12 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
       if (pa.requires_grad) {
         pa.ensure_grad();
         // dA = dC · Bᵀ
-        matmul_a_bt(self.grad.data(), pb.values.data(), pa.grad.data(), m, n, k);
+        infer::matmul_a_bt(self.grad.data(), pb.values.data(), pa.grad.data(), m, n, k);
       }
       if (pb.requires_grad) {
         pb.ensure_grad();
         // dB = Aᵀ · dC
-        matmul_at_b(pa.values.data(), self.grad.data(), pb.grad.data(), m, k, n);
+        infer::matmul_at_b(pa.values.data(), self.grad.data(), pb.grad.data(), m, k, n);
       }
     };
   }
