@@ -136,18 +136,20 @@ int main(int argc, char** argv) {
     const auto fast = model->predict_many(split.test);
     model->set_fast_path(false);
     const auto graph = model->predict_many(split.test);
-    for (std::size_t i = 0; i < fast.size(); ++i) {
+    bool matched = true;
+    for (std::size_t i = 0; i < fast.size() && matched; ++i) {
       if (fast[i] != graph[i]) {
         std::cerr << "FAIL: " << model->name()
                   << " plan diverged from graph on window " << i << "\n";
-        ok = false;
-        break;
+        matched = false;
       }
     }
+    ok = ok && matched;
     model->set_fast_path(true);
     if (equality_only) {
-      std::cout << model->name() << ": plan == graph on " << fast.size()
-                << " windows\n";
+      if (matched)
+        std::cout << model->name() << ": plan == graph on " << fast.size()
+                  << " windows\n";
       continue;
     }
 
