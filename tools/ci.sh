@@ -3,6 +3,9 @@
 # every change must keep green:
 #
 #   1. Release with -Werror            (fast, what benchmarks run as)
+#  1e. Release, -Werror, -march=native (only the bit-exact suites: the
+#                                       goldens, the matmul kernels and
+#                                       plan == graph)
 #   2. Debug + ASan + UBSan, -Werror   (memory/UB errors are fatal via
 #                                       -fno-sanitize-recover=all, and the
 #                                       CA5G_DCHECK contract family is on)
@@ -23,7 +26,11 @@
 # the pooled fleet sweep hashes equal to serial re-runs and that the
 # compiled inference plan equals the graph. An inference fast-path smoke
 # then proves the compiled plans are bit-identical to the autograd
-# forward (`bench_infer_fastpath --equality-only`).
+# forward (`bench_infer_fastpath --equality-only`). A native-ISA stage
+# rebuilds the bit-exact suites with -march=native and reruns them: the
+# goldens, the pinned link budget table, the matmul kernels against naive
+# loops and plan == graph must hold whatever the host's vector ISA, and
+# the stage prints whether the host has FMA (docs/TESTING.md).
 #
 # Parallel tests that fail are retried once via `ctest --rerun-failed`;
 # a pass on retry is reported LOUDLY as flaky and still fails the run —
@@ -109,6 +116,28 @@ done
 # forward for every deep predictor, without the timing loops (the ≥3x
 # speedup gate runs as the bench_infer_fastpath_smoke ctest in stage 1).
 run ./build-ci-release/bench/bench_infer_fastpath --equality-only
+
+# --- 1e. Native-ISA bit-exact stage ----------------------------------------
+# -march=native turns on whatever the host has (FMA, AVX2, AVX-512...). The
+# library pins -ffp-contract=off, so every golden, plan == graph and the
+# kernel tests against naive loops must still pass bit for bit. On a host
+# without FMA the stage passes trivially for contraction, so say which.
+if grep -qw fma /proc/cpuinfo 2>/dev/null; then
+  echo "ci.sh: native-ISA stage: host has FMA" >&2
+else
+  echo "ci.sh: native-ISA stage: host has NO FMA; contraction is not exercised" >&2
+fi
+NATIVE_TESTS="test_determinism test_channel_model test_propagation test_tensor test_infer_fastpath"
+run cmake -B build-ci-native -S . \
+  -DCMAKE_BUILD_TYPE=Release \
+  -DPRISM5G_WERROR=ON \
+  -DCMAKE_CXX_FLAGS=-march=native
+# shellcheck disable=SC2086  # word-split the target list on purpose
+run cmake --build build-ci-native -j "$JOBS" --target $NATIVE_TESTS bench_infer_fastpath
+for t in $NATIVE_TESTS; do
+  run "./build-ci-native/tests/$t"
+done
+run ./build-ci-native/bench/bench_infer_fastpath --equality-only
 
 # --- 2. ASan + UBSan (fatal on first report) --------------------------------
 run cmake -B build-ci-asan -S . \
