@@ -16,10 +16,14 @@ constexpr std::size_t kEncoderInputDim = traces::kCcFeatureDim + 1 + traces::kGl
 
 /// Stage CC c's step-t encoder inputs for every window of the batch into
 /// x (rows × kEncoderInputDim). Shared by the autograd and compiled paths
-/// so both cast the same doubles.
-void stage_cc_step(std::span<const traces::Window* const> batch, std::size_t c,
-                   std::size_t t, bool use_state, float* x) {
+/// so both cast the same doubles, and by both to CHECK that each window
+/// has the model's `cc_slots`: any other layout would be read out of step.
+void stage_cc_step(std::span<const traces::Window* const> batch, std::size_t cc_slots,
+                   std::size_t c, std::size_t t, bool use_state, float* x) {
   for (std::size_t b = 0; b < batch.size(); ++b) {
+    CA5G_CHECK_MSG(batch[b]->cc_slots == cc_slots,
+                   "Prism5G: a window of " << batch[b]->cc_slots
+                                           << " CC slots for a model of " << cc_slots);
     const auto feat = batch[b]->cc(t, c);
     // State trigger: gate per-CC features by the RRC-derived activation
     // mask (X' = X ⊙ I), in double before the float cast. Without it, raw
@@ -104,7 +108,7 @@ class Prism5gPlan final : public predictors::DeepPredictor::InferencePlan {
     float* xs = arena.alloc(t_len * step_floats);
     for (std::size_t t = 0; t < t_len; ++t)
       for (std::size_t c = 0; c < cc_slots_; ++c)
-        stage_cc_step(batch, c, t, use_state_,
+        stage_cc_step(batch, cc_slots_, c, t, use_state_,
                       xs + t * step_floats + c * rows * kEncoderInputDim);
     float* live = arena.alloc(cc_rows);
     std::size_t n_live = 0;
@@ -168,34 +172,29 @@ class Prism5gPlan final : public predictors::DeepPredictor::InferencePlan {
       fused = fusion_.forward(arena, fin, rows);
     }
 
-    // 4. Shared heads on h'_c = h_c + h_f, again as one batch of C·B
-    // rows, gated by the last-step mask, summed across CCs in order (y_0,
-    // then += y_1, ...).
-    const std::size_t t_last = t_len - 1;
-    const float* head_in = h_all;
-    if (fused) {
-      float* hsum = arena.alloc(cc_rows * hidden);
+    // 4. Shared heads on h'_c = h_c + h_f (in place: the fusion input
+    // already holds its copy of h_c), again as one batch of C·B rows,
+    // gated by the last-step mask, summed across CCs in order (y_0, then
+    // + y_1, ...).
+    if (fused)
       for (std::size_t c = 0; c < cc_slots_; ++c)
-        for (std::size_t i = 0; i < rows * hidden; ++i)
-          hsum[c * rows * hidden + i] = h_all[c * rows * hidden + i] + fused[i];
-      head_in = hsum;
-    }
-    const float* y_all = head_.forward(arena, head_in, cc_rows);
+        infer::add_inplace(h_all + c * rows * hidden, fused, rows * hidden);
+    const float* y_all = head_.forward(arena, h_all, cc_rows);
+    const std::size_t t_last = t_len - 1;
+    float* gate = arena.alloc(rows);
+    float* gated = arena.alloc(rows * horizon_);
     for (std::size_t c = 0; c < cc_slots_; ++c) {
       const float* y = y_all + c * rows * horizon_;
-      for (std::size_t b = 0; b < rows; ++b) {
-        const float gate =
-            use_state_ ? static_cast<float>(batch[b]->mask(t_last, c)) : 1.0f;
-        float* orow = out + b * horizon_;
-        const float* yrow = y + b * horizon_;
-        if (c == 0) {
-          for (std::size_t h = 0; h < horizon_; ++h)
-            orow[h] = use_state_ ? yrow[h] * gate : yrow[h];
-        } else {
-          for (std::size_t h = 0; h < horizon_; ++h)
-            orow[h] = orow[h] + (use_state_ ? yrow[h] * gate : yrow[h]);
-        }
+      if (use_state_) {
+        for (std::size_t b = 0; b < rows; ++b)
+          gate[b] = static_cast<float>(batch[b]->mask(t_last, c));
+        infer::mul_col_broadcast(y, gate, gated, rows, horizon_);
+        y = gated;
       }
+      if (c == 0)
+        std::copy(y, y + rows * horizon_, out);
+      else
+        infer::add_inplace(out, y, rows * horizon_);
     }
   }
 
@@ -211,6 +210,13 @@ class Prism5gPlan final : public predictors::DeepPredictor::InferencePlan {
   std::size_t history_;  ///< window length T; the mask embedding reads C·T
   std::vector<float> zero_response_;  ///< hidden floats
 };
+
+/// The aggregate y = Σ_c y_c, summed in CC order (y_0, then + y_1, ...).
+nn::Tensor sum_ccs(const std::vector<nn::Tensor>& per_cc) {
+  nn::Tensor agg = per_cc.front();
+  for (std::size_t c = 1; c < per_cc.size(); ++c) agg = agg + per_cc[c];
+  return agg;
+}
 
 }  // namespace
 
@@ -260,7 +266,7 @@ std::vector<std::vector<nn::Tensor>> Prism5G::make_cc_sequences(
     sequences[c].reserve(t_len);
     for (std::size_t t = 0; t < t_len; ++t) {
       nn::Tensor x(batch.size(), kEncoderInputDim);
-      stage_cc_step(batch, c, t, pconfig_.use_state, x.values().data());
+      stage_cc_step(batch, cc_slots_, c, t, pconfig_.use_state, x.values().data());
       sequences[c].push_back(std::move(x));
     }
   }
@@ -302,14 +308,11 @@ std::vector<nn::Tensor> Prism5G::forward_per_cc(
     const nn::Tensor h = fused.defined() ? hidden_states[c] + fused : hidden_states[c];
     nn::Tensor y = head_->forward(h);
     if (pconfig_.use_state) {
+      // The per-row gate needs no gradient; it scales the row's horizon.
       nn::Tensor gate(batch.size(), 1);
       for (std::size_t b = 0; b < batch.size(); ++b)
         gate.set(b, 0, static_cast<float>(batch[b]->mask(t_last, c)));
-      // Broadcast the per-row gate across the horizon columns.
-      std::vector<nn::Tensor> cols;
-      cols.reserve(horizon_);
-      for (std::size_t hcol = 0; hcol < horizon_; ++hcol) cols.push_back(gate);
-      y = y * nn::concat_cols(cols);
+      y = nn::mul_col_broadcast(y, gate);
     }
     outputs.push_back(y);
   }
@@ -318,17 +321,12 @@ std::vector<nn::Tensor> Prism5G::forward_per_cc(
 
 nn::Tensor Prism5G::forward_batch(std::span<const traces::Window* const> batch,
                                   bool /*training*/) const {
-  const auto per_cc = forward_per_cc(batch);
-  nn::Tensor agg = per_cc.front();
-  for (std::size_t c = 1; c < per_cc.size(); ++c) agg = agg + per_cc[c];
-  return agg;
+  return sum_ccs(forward_per_cc(batch));
 }
 
 nn::Tensor Prism5G::compute_loss(std::span<const traces::Window* const> batch) {
   const auto per_cc = forward_per_cc(batch);
-  nn::Tensor agg = per_cc.front();
-  for (std::size_t c = 1; c < per_cc.size(); ++c) agg = agg + per_cc[c];
-  nn::Tensor loss = nn::mse_loss(agg, make_target(batch, horizon_));
+  nn::Tensor loss = nn::mse_loss(sum_ccs(per_cc), make_target(batch, horizon_));
 
   if (pconfig_.per_cc_loss_weight > 0.0f) {
     // Auxiliary per-CC supervision: each head should track its own CC.
@@ -347,14 +345,10 @@ nn::Tensor Prism5G::compute_loss(std::span<const traces::Window* const> batch) {
 
 std::vector<std::vector<double>> Prism5G::predict_per_cc(const traces::Window& w) const {
   const traces::Window* ptr = &w;
-  const auto per_cc =
-      forward_per_cc(std::span<const traces::Window* const>(&ptr, 1));
-  std::vector<std::vector<double>> out(per_cc.size());
-  for (std::size_t c = 0; c < per_cc.size(); ++c) {
-    out[c].reserve(horizon_);
-    for (std::size_t h = 0; h < horizon_; ++h)
-      out[c].push_back(std::clamp<double>(per_cc[c].at(0, h), 0.0, 1.5));
-  }
+  std::vector<std::vector<double>> out;
+  for (const nn::Tensor& y :
+       forward_per_cc(std::span<const traces::Window* const>(&ptr, 1)))
+    append_clamped_rows(y.values().data(), 1, horizon_, out);
   return out;
 }
 

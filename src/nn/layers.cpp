@@ -108,45 +108,18 @@ Lstm::Lstm(common::Rng& rng, std::size_t input_size, std::size_t hidden_size,
     cells_.emplace_back(rng, i == 0 ? input_size : hidden_size, hidden_size);
 }
 
-std::vector<Tensor> Lstm::forward(std::span<const Tensor> sequence) const {
-  CA5G_CHECK_MSG(!sequence.empty(), "LSTM forward on empty sequence");
+std::vector<LstmCell::State> Lstm::final_states(std::span<const Tensor> sequence) const {
+  CA5G_CHECK_MSG(!sequence.empty(), "LSTM over an empty sequence");
   const std::size_t batch = sequence.front().rows();
-
   std::vector<LstmCell::State> states;
   states.reserve(cells_.size());
   for (const auto& cell : cells_) states.push_back(cell.zero_state(batch));
-
-  std::vector<Tensor> outputs;
-  outputs.reserve(sequence.size());
-  for (const Tensor& x : sequence) {
-    Tensor input = x;
-    for (std::size_t layer = 0; layer < cells_.size(); ++layer) {
-      states[layer] = cells_[layer].step(input, states[layer]);
-      input = states[layer].h;
-    }
-    outputs.push_back(input);
-  }
-  return outputs;
+  for (const Tensor& x : sequence) (void)step_with_states(x, states);
+  return states;
 }
 
 Tensor Lstm::last_hidden(std::span<const Tensor> sequence) const {
-  return forward(sequence).back();
-}
-
-std::vector<LstmCell::State> Lstm::final_states(std::span<const Tensor> sequence) const {
-  CA5G_CHECK_MSG(!sequence.empty(), "LSTM final_states on empty sequence");
-  const std::size_t batch = sequence.front().rows();
-  std::vector<LstmCell::State> states;
-  states.reserve(cells_.size());
-  for (const auto& cell : cells_) states.push_back(cell.zero_state(batch));
-  for (const Tensor& x : sequence) {
-    Tensor input = x;
-    for (std::size_t layer = 0; layer < cells_.size(); ++layer) {
-      states[layer] = cells_[layer].step(input, states[layer]);
-      input = states[layer].h;
-    }
-  }
-  return states;
+  return final_states(sequence).back().h;
 }
 
 Tensor Lstm::step_with_states(const Tensor& x, std::vector<LstmCell::State>& states) const {
@@ -167,26 +140,6 @@ std::vector<Tensor> Lstm::parameters() {
 }
 
 std::size_t Lstm::hidden_size() const noexcept { return cells_.front().hidden_size(); }
-
-// ---- Embedding ---------------------------------------------------------------
-
-Embedding::Embedding(common::Rng& rng, std::size_t num_embeddings, std::size_t dim)
-    : num_(num_embeddings), dim_(dim),
-      table_(Tensor::randn(rng, num_embeddings, dim, 0.1f)) {
-  CA5G_CHECK_MSG(num_embeddings > 0 && dim > 0, "Embedding with empty dimension");
-}
-
-Tensor Embedding::forward(std::span<const std::size_t> ids) const {
-  CA5G_CHECK_MSG(!ids.empty(), "Embedding lookup of nothing");
-  Tensor onehot = Tensor::zeros(ids.size(), num_);
-  for (std::size_t r = 0; r < ids.size(); ++r) {
-    CA5G_CHECK_MSG(ids[r] < num_, "embedding id out of range: " << ids[r]);
-    onehot.set(r, ids[r], 1.0f);
-  }
-  return matmul(onehot, table_);
-}
-
-std::vector<Tensor> Embedding::parameters() { return {table_}; }
 
 // ---- Causal Conv1d ------------------------------------------------------------
 

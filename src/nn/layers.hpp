@@ -1,6 +1,6 @@
 // Neural network layers built on the autograd Tensor: Linear, MLP,
-// LSTM (cell and multi-layer sequence module), Embedding, and a causal
-// dilated Conv1d for the TCN baseline. All layers expose their parameters
+// LSTM (cell and multi-layer sequence module), and a causal dilated
+// Conv1d for the TCN baseline. All layers expose their parameters
 // for the optimizer and support seeded initialization.
 #pragma once
 
@@ -98,11 +98,9 @@ class Lstm final : public Module {
   Lstm(common::Rng& rng, std::size_t input_size, std::size_t hidden_size,
        std::size_t num_layers);
 
-  /// Process a sequence; returns the top layer's hidden state per step.
-  [[nodiscard]] std::vector<Tensor> forward(std::span<const Tensor> sequence) const;
-
-  /// Process a sequence and return the final (h, c) state of every layer
-  /// — used to initialize Seq2Seq decoders (Lumos5G baseline).
+  /// Process a sequence from the zero state and return the final (h, c)
+  /// state of every layer — used to initialize Seq2Seq decoders (Lumos5G
+  /// baseline).
   [[nodiscard]] std::vector<LstmCell::State> final_states(
       std::span<const Tensor> sequence) const;
 
@@ -120,24 +118,6 @@ class Lstm final : public Module {
 
  private:
   std::vector<LstmCell> cells_;
-};
-
-/// Embedding: integer ids → dense rows of a learned table.
-class Embedding final : public Module {
- public:
-  Embedding(common::Rng& rng, std::size_t num_embeddings, std::size_t dim);
-
-  /// Lookup a batch of ids → (batch × dim). Implemented as one-hot·table
-  /// so gradients flow into the table rows.
-  [[nodiscard]] Tensor forward(std::span<const std::size_t> ids) const;
-
-  [[nodiscard]] std::vector<Tensor> parameters() override;
-  [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
-
- private:
-  std::size_t num_;
-  std::size_t dim_;
-  Tensor table_;  ///< num × dim
 };
 
 /// Causal dilated 1-D convolution over a sequence of (batch × channels)

@@ -1,6 +1,5 @@
 #include "nn/optim.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/contracts.hpp"
@@ -57,52 +56,6 @@ void Adam::step() {
       values[j] -= config_.lr * m_hat / (std::sqrt(v_hat) + config_.eps);
     }
   }
-}
-
-void MinMaxScaler::fit(const std::vector<std::vector<double>>& rows) {
-  CA5G_CHECK_MSG(!rows.empty(), "MinMaxScaler::fit with no rows");
-  const std::size_t cols = rows.front().size();
-  mins_.assign(cols, rows.front().front());
-  maxs_.assign(cols, rows.front().front());
-  for (std::size_t c = 0; c < cols; ++c) {
-    mins_[c] = maxs_[c] = rows.front()[c];
-  }
-  for (const auto& row : rows) {
-    CA5G_CHECK_MSG(row.size() == cols, "MinMaxScaler row width mismatch");
-    for (std::size_t c = 0; c < cols; ++c) {
-      mins_[c] = std::min(mins_[c], row[c]);
-      maxs_[c] = std::max(maxs_[c], row[c]);
-    }
-  }
-}
-
-void MinMaxScaler::fit_series(std::span<const double> series) {
-  CA5G_CHECK_MSG(!series.empty(), "MinMaxScaler::fit_series with no data");
-  mins_.assign(1, series.front());
-  maxs_.assign(1, series.front());
-  for (double x : series) {
-    mins_[0] = std::min(mins_[0], x);
-    maxs_[0] = std::max(maxs_[0], x);
-  }
-}
-
-double MinMaxScaler::transform(double x, std::size_t column) const {
-  CA5G_CHECK_MSG(column < mins_.size(), "scaler column out of range");
-  const double range = maxs_[column] - mins_[column];
-  if (range <= 0.0) return 0.0;
-  return (x - mins_[column]) / range;
-}
-
-double MinMaxScaler::inverse(double y, std::size_t column) const {
-  CA5G_CHECK_MSG(column < mins_.size(), "scaler column out of range");
-  return mins_[column] + y * (maxs_[column] - mins_[column]);
-}
-
-std::vector<double> MinMaxScaler::transform_row(const std::vector<double>& row) const {
-  CA5G_CHECK_MSG(row.size() == mins_.size(), "scaler row width mismatch");
-  std::vector<double> out(row.size());
-  for (std::size_t c = 0; c < row.size(); ++c) out[c] = transform(row[c], c);
-  return out;
 }
 
 }  // namespace ca5g::nn

@@ -1,6 +1,5 @@
 // Optimization: Adam (Kingma & Ba, as cited by the paper) with optional
-// global-norm gradient clipping, plus the min–max feature scaler the
-// paper uses for dataset normalization.
+// global-norm gradient clipping.
 #pragma once
 
 #include <vector>
@@ -37,28 +36,6 @@ class Adam {
   std::vector<std::vector<float>> v_;
   Config config_;
   std::int64_t t_ = 0;
-};
-
-/// Per-column min–max scaling to [0, 1] (paper §C.1). Degenerate columns
-/// (min == max) map to 0.
-class MinMaxScaler {
- public:
-  /// Fit bounds from rows of feature vectors.
-  void fit(const std::vector<std::vector<double>>& rows);
-
-  /// Fit from a single series (one column).
-  void fit_series(std::span<const double> series);
-
-  [[nodiscard]] double transform(double x, std::size_t column = 0) const;
-  [[nodiscard]] double inverse(double y, std::size_t column = 0) const;
-  [[nodiscard]] std::vector<double> transform_row(const std::vector<double>& row) const;
-
-  [[nodiscard]] bool fitted() const noexcept { return !mins_.empty(); }
-  [[nodiscard]] std::size_t columns() const noexcept { return mins_.size(); }
-
- private:
-  std::vector<double> mins_;
-  std::vector<double> maxs_;
 };
 
 }  // namespace ca5g::nn

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <unordered_set>
 
 #include "common/contracts.hpp"
@@ -58,6 +57,15 @@ std::shared_ptr<Node> make_result(std::size_t rows, std::size_t cols,
   node->parents = std::move(parents);
   if (rg) node->ensure_grad();
   return node;
+}
+
+/// A result node shaped like `a` holding a copy of its values, for the
+/// in-place infer kernels to finish.
+std::shared_ptr<Node> copy_result(const Tensor& a,
+                                  std::vector<std::shared_ptr<Node>> parents) {
+  auto out = make_result(a.rows(), a.cols(), std::move(parents));
+  std::copy(a.values().begin(), a.values().end(), out->values.begin());
+  return out;
 }
 
 void check_defined(const Tensor& t, const char* what) {
@@ -202,6 +210,11 @@ Tensor Tensor::detach() const {
 }
 
 // ---- Ops ------------------------------------------------------------------
+//
+// Forward values come from the nn::infer kernels, the same code the
+// compiled plans run; only operator-, operator*, scale and sum_all, which
+// no plan needs, compute their own. Each op here adds the shape checks,
+// the graph node and its backward rule.
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   check_defined(a, "matmul");
@@ -240,12 +253,12 @@ Tensor operator+(const Tensor& a, const Tensor& b) {
   const bool broadcast = b.rows() == 1 && a.rows() != 1 && a.cols() == b.cols();
   CA5G_CHECK_MSG(broadcast || (a.rows() == b.rows() && a.cols() == b.cols()),
                  "operator+ shape mismatch");
-  auto out = make_result(a.rows(), a.cols(), {a.node(), b.node()});
-  const float* av = a.values().data();
-  const float* bv = b.values().data();
   const std::size_t n = a.cols();
-  for (std::size_t i = 0; i < out->values.size(); ++i)
-    out->values[i] = av[i] + (broadcast ? bv[i % n] : bv[i]);
+  auto out = copy_result(a, {a.node(), b.node()});
+  if (broadcast)
+    infer::add_row_bias_inplace(out->values.data(), b.values().data(), a.rows(), n);
+  else
+    infer::add_inplace(out->values.data(), b.values().data(), out->values.size());
   if (out->requires_grad) {
     out->backward_fn = [broadcast, n](Node& self) {
       Node& pa = *self.parents[0];
@@ -338,12 +351,13 @@ Tensor scale(const Tensor& a, float factor) {
 
 namespace {
 
-template <typename Fwd, typename Dfn>
-Tensor unary_op(const Tensor& a, Fwd fwd, Dfn dfn, const char* name) {
+/// Elementwise op whose forward is the in-place infer kernel `fwd`.
+template <typename Dfn>
+Tensor unary_op(const Tensor& a, void (*fwd)(float*, std::size_t), Dfn dfn,
+                const char* name) {
   check_defined(a, name);
-  auto out = make_result(a.rows(), a.cols(), {a.node()});
-  const float* av = a.values().data();
-  for (std::size_t i = 0; i < out->values.size(); ++i) out->values[i] = fwd(av[i]);
+  auto out = copy_result(a, {a.node()});
+  fwd(out->values.data(), out->values.size());
   if (out->requires_grad) {
     out->backward_fn = [dfn](Node& self) {
       Node& pa = *self.parents[0];
@@ -359,20 +373,19 @@ Tensor unary_op(const Tensor& a, Fwd fwd, Dfn dfn, const char* name) {
 
 Tensor tanh_op(const Tensor& a) {
   return unary_op(
-      a, [](float x) { return std::tanh(x); },
-      [](float /*x*/, float y) { return 1.0f - y * y; }, "tanh");
+      a, infer::tanh_inplace, [](float /*x*/, float y) { return 1.0f - y * y; }, "tanh");
 }
 
 Tensor sigmoid(const Tensor& a) {
   return unary_op(
-      a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
-      [](float /*x*/, float y) { return y * (1.0f - y); }, "sigmoid");
+      a, infer::sigmoid_inplace, [](float /*x*/, float y) { return y * (1.0f - y); },
+      "sigmoid");
 }
 
 Tensor relu(const Tensor& a) {
   return unary_op(
-      a, [](float x) { return x > 0.0f ? x : 0.0f; },
-      [](float x, float /*y*/) { return x > 0.0f ? 1.0f : 0.0f; }, "relu");
+      a, infer::relu_inplace, [](float x, float /*y*/) { return x > 0.0f ? 1.0f : 0.0f; },
+      "relu");
 }
 
 Tensor concat_cols(std::span<const Tensor> parts) {
@@ -380,22 +393,19 @@ Tensor concat_cols(std::span<const Tensor> parts) {
   const std::size_t rows = parts.front().rows();
   std::size_t total_cols = 0;
   std::vector<std::shared_ptr<Node>> parents;
+  std::vector<const float*> values;
+  std::vector<std::size_t> widths;
   for (const auto& p : parts) {
     check_defined(p, "concat_cols");
     CA5G_CHECK_MSG(p.rows() == rows, "concat_cols row mismatch");
     total_cols += p.cols();
     parents.push_back(p.node());
+    values.push_back(p.values().data());
+    widths.push_back(p.cols());
   }
   auto out = make_result(rows, total_cols, std::move(parents));
-  std::size_t offset = 0;
-  for (const auto& p : parts) {
-    const float* pv = p.values().data();
-    const std::size_t pc = p.cols();
-    for (std::size_t r = 0; r < rows; ++r)
-      std::copy(pv + r * pc, pv + (r + 1) * pc,
-                out->values.begin() + static_cast<std::ptrdiff_t>(r * total_cols + offset));
-    offset += pc;
-  }
+  infer::concat_cols(values.data(), widths.data(), parts.size(), rows,
+                     out->values.data());
   if (out->requires_grad) {
     out->backward_fn = [rows, total_cols](Node& self) {
       std::size_t grad_offset = 0;
@@ -420,10 +430,7 @@ Tensor slice_cols(const Tensor& a, std::size_t start, std::size_t len) {
   const std::size_t rows = a.rows();
   const std::size_t src_cols = a.cols();
   auto out = make_result(rows, len, {a.node()});
-  const float* av = a.values().data();
-  for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t c = 0; c < len; ++c)
-      out->values[r * len + c] = av[r * src_cols + start + c];
+  infer::slice_cols(a.values().data(), rows, src_cols, start, len, out->values.data());
   if (out->requires_grad) {
     out->backward_fn = [rows, len, src_cols, start](Node& self) {
       Node& pa = *self.parents[0];
@@ -461,19 +468,7 @@ Tensor softmax_rows(const Tensor& a) {
   check_defined(a, "softmax_rows");
   const std::size_t rows = a.rows(), cols = a.cols();
   auto out = make_result(rows, cols, {a.node()});
-  const float* av = a.values().data();
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* arow = av + r * cols;
-    float maxv = arow[0];
-    for (std::size_t c = 1; c < cols; ++c) maxv = std::max(maxv, arow[c]);
-    float denom = 0.0f;
-    for (std::size_t c = 0; c < cols; ++c) {
-      const float e = std::exp(arow[c] - maxv);
-      out->values[r * cols + c] = e;
-      denom += e;
-    }
-    for (std::size_t c = 0; c < cols; ++c) out->values[r * cols + c] /= denom;
-  }
+  infer::softmax_rows(a.values().data(), out->values.data(), rows, cols);
   if (out->requires_grad) {
     out->backward_fn = [rows, cols](Node& self) {
       Node& pa = *self.parents[0];
@@ -499,14 +494,8 @@ Tensor rowwise_dot(const Tensor& a, const Tensor& b) {
                  "rowwise_dot shape mismatch");
   const std::size_t rows = a.rows(), cols = a.cols();
   auto out = make_result(rows, 1, {a.node(), b.node()});
-  const float* av = a.values().data();
-  const float* bv = b.values().data();
-  for (std::size_t r = 0; r < rows; ++r) {
-    float acc = 0.0f;
-    for (std::size_t c = 0; c < cols; ++c)
-      acc += av[r * cols + c] * bv[r * cols + c];
-    out->values[r] = acc;
-  }
+  infer::rowwise_dot(a.values().data(), b.values().data(), out->values.data(), rows,
+                     cols);
   if (out->requires_grad) {
     out->backward_fn = [rows, cols](Node& self) {
       Node& pa = *self.parents[0];
@@ -535,11 +524,8 @@ Tensor mul_col_broadcast(const Tensor& a, const Tensor& col) {
                  "mul_col_broadcast needs a (rows x 1) column");
   const std::size_t rows = a.rows(), cols = a.cols();
   auto out = make_result(rows, cols, {a.node(), col.node()});
-  const float* av = a.values().data();
-  const float* colv = col.values().data();
-  for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t c = 0; c < cols; ++c)
-      out->values[r * cols + c] = av[r * cols + c] * colv[r];
+  infer::mul_col_broadcast(a.values().data(), col.values().data(), out->values.data(),
+                           rows, cols);
   if (out->requires_grad) {
     out->backward_fn = [rows, cols](Node& self) {
       Node& pa = *self.parents[0];

@@ -29,11 +29,13 @@ class DeepPredictor : public Predictor {
   void fit(const traces::Dataset& ds, std::span<const traces::Window* const> train,
            std::span<const traces::Window* const> val) final;
 
+  /// predict_many() of the one window.
   [[nodiscard]] std::vector<double> predict(const traces::Window& w) const final;
 
   /// Real batched inference: chunks `windows` into forward_batch calls
   /// of at most the training batch size, so a serving micro-batch costs
-  /// one forward pass instead of one per window.
+  /// one forward pass instead of one per window. Every window must have
+  /// the first window's history (CHECKed).
   [[nodiscard]] std::vector<std::vector<double>> predict_many(
       std::span<const traces::Window* const> windows) const final;
 
@@ -93,6 +95,13 @@ class DeepPredictor : public Predictor {
       std::span<const traces::Window* const> batch, bool training) const = 0;
   /// All trainable parameters.
   [[nodiscard]] virtual std::vector<nn::Tensor> trainable_parameters() = 0;
+
+  /// Append `rows` prediction rows of `horizon` normalized floats to
+  /// `out`, each value clamped to [0, 1.5] — the one output step of the
+  /// plan and the graph.
+  static void append_clamped_rows(const float* pred, std::size_t rows,
+                                  std::size_t horizon,
+                                  std::vector<std::vector<double>>& out);
 
   /// Training loss for one batch; default is MSE of the aggregate
   /// prediction. Prism5G overrides this to add per-CC supervision.

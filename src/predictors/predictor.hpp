@@ -28,7 +28,8 @@ struct TrainConfig {
 };
 
 /// Config with CA5G_EPOCHS / CA5G_HIDDEN / CA5G_BATCH / CA5G_FAST env
-/// overrides applied (CA5G_FAST=1 halves epochs and hidden width).
+/// overrides applied (CA5G_FAST=1 sets epochs to max(14, epochs / 2) and
+/// keeps the hidden width).
 [[nodiscard]] TrainConfig train_config_from_env();
 
 /// Abstract throughput predictor.

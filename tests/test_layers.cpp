@@ -70,11 +70,19 @@ TEST(Lstm, SequenceProcessing) {
   Lstm lstm(rng, 3, 4, 2);
   std::vector<Tensor> seq;
   for (int t = 0; t < 5; ++t) seq.push_back(Tensor::constant(2, 3, 0.1f * t));
-  const auto outputs = lstm.forward(seq);
-  EXPECT_EQ(outputs.size(), 5u);
-  EXPECT_EQ(outputs.back().cols(), 4u);
   const auto last = lstm.last_hidden(seq);
-  EXPECT_FLOAT_EQ(last.at(0, 0), outputs.back().at(0, 0));
+  EXPECT_EQ(last.rows(), 2u);
+  EXPECT_EQ(last.cols(), 4u);
+  // The top layer's h after stepping both cells through the sequence.
+  std::vector<LstmCell::State> states{lstm.cells()[0].zero_state(2),
+                                      lstm.cells()[1].zero_state(2)};
+  for (const Tensor& x : seq) {
+    states[0] = lstm.cells()[0].step(x, states[0]);
+    states[1] = lstm.cells()[1].step(states[0].h, states[1]);
+  }
+  EXPECT_EQ(last.values(), states[1].h.values());
+  EXPECT_THROW((void)lstm.last_hidden(std::span<const Tensor>{}),
+               ca5g::common::CheckError);
   EXPECT_EQ(lstm.hidden_size(), 4u);
   EXPECT_EQ(lstm.parameters().size(), 6u);  // 2 layers × 3 tensors
 }
@@ -105,19 +113,6 @@ TEST(Lstm, FinalStatesAndStepWithStates) {
   const auto direct = lstm.last_hidden(full);
   for (std::size_t c = 0; c < 4; ++c)
     EXPECT_NEAR(continued.at(0, c), direct.at(0, c), 1e-6);
-}
-
-TEST(Embedding, LookupMatchesTableRows) {
-  Rng rng(9);
-  Embedding emb(rng, 6, 3);
-  const std::vector<std::size_t> ids{2, 5, 2};
-  const auto out = emb.forward(ids);
-  EXPECT_EQ(out.rows(), 3u);
-  EXPECT_EQ(out.cols(), 3u);
-  // Row 0 and row 2 use the same id → identical embeddings.
-  for (std::size_t c = 0; c < 3; ++c) EXPECT_FLOAT_EQ(out.at(0, c), out.at(2, c));
-  const std::vector<std::size_t> bad{7};
-  EXPECT_THROW(emb.forward(bad), ca5g::common::CheckError);
 }
 
 TEST(CausalConv1d, CausalityHolds) {

@@ -1,4 +1,4 @@
-// Unit tests for Adam and the min–max scaler.
+// Unit tests for Adam.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -76,41 +76,6 @@ TEST(Adam, RequiresParameters) {
   EXPECT_THROW(Adam({}, Adam::Config{}), ca5g::common::CheckError);
   Tensor no_grad(1, 1, false);
   EXPECT_THROW(Adam({no_grad}, Adam::Config{}), ca5g::common::CheckError);
-}
-
-TEST(MinMaxScaler, TransformAndInverse) {
-  MinMaxScaler scaler;
-  scaler.fit({{0.0, 10.0}, {5.0, 20.0}, {10.0, 30.0}});
-  EXPECT_DOUBLE_EQ(scaler.transform(5.0, 0), 0.5);
-  EXPECT_DOUBLE_EQ(scaler.transform(10.0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(scaler.inverse(0.5, 0), 5.0);
-  EXPECT_DOUBLE_EQ(scaler.inverse(1.0, 1), 30.0);
-  EXPECT_EQ(scaler.columns(), 2u);
-  const auto row = scaler.transform_row({2.5, 25.0});
-  EXPECT_DOUBLE_EQ(row[0], 0.25);
-  EXPECT_DOUBLE_EQ(row[1], 0.75);
-}
-
-TEST(MinMaxScaler, DegenerateColumnMapsToZero) {
-  MinMaxScaler scaler;
-  scaler.fit({{7.0}, {7.0}});
-  EXPECT_DOUBLE_EQ(scaler.transform(7.0), 0.0);
-}
-
-TEST(MinMaxScaler, SeriesFit) {
-  MinMaxScaler scaler;
-  const std::vector<double> series{1.0, 3.0, 5.0};
-  scaler.fit_series(series);
-  EXPECT_DOUBLE_EQ(scaler.transform(3.0), 0.5);
-}
-
-TEST(MinMaxScaler, ErrorsOnMisuse) {
-  MinMaxScaler scaler;
-  EXPECT_THROW(scaler.fit({}), ca5g::common::CheckError);
-  EXPECT_FALSE(scaler.fitted());
-  scaler.fit({{1.0, 2.0}});
-  EXPECT_THROW((void)scaler.transform(1.0, 5), ca5g::common::CheckError);
-  EXPECT_THROW(scaler.transform_row({1.0}), ca5g::common::CheckError);
 }
 
 }  // namespace
