@@ -10,23 +10,22 @@
 //     with zero steady-state heap allocations (pointers into the arena
 //     stay valid until reset()). One arena per thread via
 //     thread_arena().
-//   * Kernels — raw float entry points mirroring the autograd ops
-//     (matmul, bias-add, tanh/sigmoid/relu, concat, slice, softmax,
-//     rowwise-dot, col-broadcast) that write into caller buffers and
-//     never construct detail::Node. The three matmul products are the
-//     only matmul code: Tensor's matmul forward and backward call them
-//     too. The other kernels are BIT-IDENTICAL to their Tensor
-//     counterparts: same accumulation order, same activation formulas —
-//     tests diff the two paths with operator== on floats, not a
-//     tolerance, and pin the matmul products to naive loops.
+//   * Kernels — raw float entry points (matmul, add, bias-add,
+//     tanh/sigmoid/relu, concat, slice, softmax, rowwise-dot,
+//     col-broadcast) that write into caller buffers and never construct
+//     detail::Node. They are the only forward code for these ops: the
+//     autograd Tensor ops call them for their values (and the matmul
+//     backward calls the matmul products), so the graph and the plans
+//     cannot drift apart. Tests compare every kernel with naive scalar
+//     loops written in the test, bit for bit, not with a tolerance.
 //   * Packed modules — PackedLinear/PackedMlp/PackedLstm/PackedConv1d
 //     snapshot a layer's weights once at plan-compile time into flat
 //     contiguous buffers for matmul_xw. Plans are immutable after
 //     construction and safe to run concurrently from many threads.
 //
-// The autograd path remains the reference oracle: a compiled plan must
-// reproduce forward_batch(..., training=false) bit-for-bit, and
-// bench_infer_fastpath + tests/test_infer_fastpath.cpp enforce it.
+// A compiled plan must reproduce forward_batch(..., training=false)
+// bit-for-bit, so that the two paths compose the same kernels in the same
+// order; bench_infer_fastpath + tests/test_infer_fastpath.cpp enforce it.
 #pragma once
 
 #include <cstddef>
@@ -125,13 +124,16 @@ void matmul_a_bt(const float* a, const float* b, float* c, std::size_t m,
 void matmul_ab_naive(const float* a, const float* b, float* c, std::size_t m,
                      std::size_t k, std::size_t n);
 
-/// y[i] = y[i] + x[i] — one pairwise fold step, matching `acc + term`.
+/// y[i] = y[i] + x[i] — the elementwise operator+ forward, and one
+/// pairwise fold step `acc + term`.
 void add_inplace(float* y, const float* x, std::size_t n);
 
-/// y[r][c] = y[r][c] + bias[c] — the `+ bias` row broadcast.
+/// y[r][c] = y[r][c] + bias[c] — the operator+ row-broadcast forward.
 void add_row_bias_inplace(float* y, const float* bias, std::size_t rows,
                           std::size_t cols);
 
+/// The activation forwards, in place: libm tanh, 1 / (1 + exp(−x)),
+/// and x > 0 ? x : 0.
 void tanh_inplace(float* x, std::size_t n);
 void sigmoid_inplace(float* x, std::size_t n);
 void relu_inplace(float* x, std::size_t n);
@@ -146,8 +148,8 @@ void slice_cols(const float* x, std::size_t rows, std::size_t src_cols,
 void concat_cols(const float* const* parts, const std::size_t* widths,
                  std::size_t count, std::size_t rows, float* y);
 
-/// Row-wise softmax of x (rows × cols) into y, in the graph's exact
-/// order: row max, exp(x − max) accumulating the denominator, divide.
+/// Row-wise softmax of x (rows × cols) into y: row max, exp(x − max)
+/// with the denominator summed c ascending, then divide.
 void softmax_rows(const float* x, float* y, std::size_t rows, std::size_t cols);
 
 /// y[r] = Σ_c a[r][c]·b[r][c], c ascending — the rowwise_dot forward.

@@ -4,7 +4,7 @@
 #
 #   1. Release with -Werror            (fast, what benchmarks run as)
 #  1e. Release, -Werror, -march=native (only the bit-exact suites: the
-#                                       goldens, the matmul kernels and
+#                                       goldens, the nn kernels and
 #                                       plan == graph)
 #   2. Debug + ASan + UBSan, -Werror   (memory/UB errors are fatal via
 #                                       -fno-sanitize-recover=all, and the
@@ -28,7 +28,7 @@
 # then proves the compiled plans are bit-identical to the autograd
 # forward (`bench_infer_fastpath --equality-only`). A native-ISA stage
 # rebuilds the bit-exact suites with -march=native and reruns them: the
-# goldens, the pinned link budget table, the matmul kernels against naive
+# goldens, the pinned link budget table, the nn kernels against naive
 # loops and plan == graph must hold whatever the host's vector ISA, and
 # the stage prints whether the host has FMA (docs/TESTING.md).
 #
@@ -147,7 +147,8 @@ run cmake -B build-ci-asan -S . \
 run cmake --build build-ci-asan -j "$JOBS"
 if [[ "$FAST" == 1 ]]; then
   # Labelled smoke subset: contract layer, 3GPP tables, tensor autodiff,
-  # trace schema, scheduler/CA manager — the layers where memory errors live.
+  # nn layers, trace schema, scheduler/CA manager — the layers where memory
+  # errors live.
   run ctest --test-dir build-ci-asan --output-on-failure -j "$JOBS" -L 'lint|sanitize'
 else
   run ctest --test-dir build-ci-asan --output-on-failure -j "$JOBS"
