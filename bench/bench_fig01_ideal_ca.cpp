@@ -32,21 +32,7 @@ void report_operator(ran::OperatorId op, phy::Rat rat, common::TextTable& table,
         config.band_lock.push_back(band.id);
   }
   // Park next to the site with the most usable carriers of this RAT.
-  std::size_t best_site = 0, best_count = 0;
-  for (std::size_t i = 0; i < dep.sites.size(); ++i) {
-    std::size_t count = 0;
-    for (auto id : dep.sites[i].carriers) {
-      const auto& info = phy::band_info(dep.carrier(id).band);
-      if (info.rat != rat) continue;
-      if (fr1_only && info.range == phy::BandRange::kHigh) continue;
-      ++count;
-    }
-    if (count > best_count) {
-      best_count = count;
-      best_site = i;
-    }
-  }
-  const auto& hot_site = dep.sites[best_site];
+  const auto& hot_site = dep.sites[ran::best_ca_site(dep, rat, config.band_lock)];
   config.stationary_position =
       radio::Position{hot_site.pos.x + 60.0, hot_site.pos.y + 25.0};
   sim::SimulationEngine engine(dep, config);

@@ -39,11 +39,11 @@ int main() {
 
       std::vector<std::string> row{id.label()};
       double best_baseline = 1e9, prism = 0.0;
-      for (const auto& name : kModels) {
-        auto model = eval::make_predictor(name);
-        const double rmse = eval::train_and_evaluate(*model, ds, split);
+      const auto scores = eval::evaluate_models(kModels, ds, split, /*threads=*/0);
+      for (std::size_t m = 0; m < kModels.size(); ++m) {
+        const double rmse = scores[m].rmse;
         row.push_back(common::TextTable::num(rmse, 3));
-        if (name == "Prism5G")
+        if (kModels[m] == "Prism5G")
           prism = rmse;
         else
           best_baseline = std::min(best_baseline, rmse);

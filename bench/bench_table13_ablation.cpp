@@ -26,10 +26,8 @@ int main() {
       const auto split = ds.random_split(0.5, 0.2, rng);
 
       std::vector<double> rmse;
-      for (const auto& name : variants) {
-        auto model = eval::make_predictor(name);
-        rmse.push_back(eval::train_and_evaluate(*model, ds, split));
-      }
+      for (const auto& score : eval::evaluate_models(variants, ds, split, /*threads=*/0))
+        rmse.push_back(score.rmse);
       const double ds_pct = 100.0 * (rmse[0] - rmse[2]) / rmse[2];
       const double df_pct = 100.0 * (rmse[1] - rmse[2]) / rmse[2];
       state_delta.add(ds_pct);

@@ -69,25 +69,6 @@ double Rng::normal(double mean, double stddev) noexcept { return mean + stddev *
 
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
-double Rng::exponential(double mean) noexcept {
-  double u = uniform();
-  while (u <= 0.0) u = uniform();
-  return -mean * std::log(u);
-}
-
-std::size_t Rng::weighted_index(const std::vector<double>& weights) noexcept {
-  double total = 0.0;
-  for (double w : weights) total += (w > 0.0 ? w : 0.0);
-  if (total <= 0.0) return 0;
-  double target = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const double w = weights[i] > 0.0 ? weights[i] : 0.0;
-    if (target < w) return i;
-    target -= w;
-  }
-  return weights.size() - 1;
-}
-
 Rng Rng::substream(std::uint64_t stream_id) const noexcept {
   // Collapse the 256-bit state to one word, mix in the stream id, and
   // re-expand through the seed path. SplitMix64's avalanche decorrelates

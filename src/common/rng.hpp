@@ -38,12 +38,6 @@ class Rng {
   /// Bernoulli trial with success probability p.
   [[nodiscard]] bool bernoulli(double p) noexcept;
 
-  /// Exponential with given mean (> 0).
-  [[nodiscard]] double exponential(double mean) noexcept;
-
-  /// Index sampled according to non-negative weights (at least one > 0).
-  [[nodiscard]] std::size_t weighted_index(const std::vector<double>& weights) noexcept;
-
   /// Derive an independent child stream (stable function of state + salt).
   /// Advances this generator; successive forks differ.
   [[nodiscard]] Rng fork(std::uint64_t salt) noexcept;

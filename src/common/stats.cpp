@@ -22,14 +22,6 @@ double stddev(std::span<const double> xs) noexcept {
   return std::sqrt(ss / static_cast<double>(xs.size() - 1));
 }
 
-double variance_population(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  const double m = mean(xs);
-  double ss = 0.0;
-  for (double x : xs) ss += (x - m) * (x - m);
-  return ss / static_cast<double>(xs.size());
-}
-
 double min_value(std::span<const double> xs) noexcept {
   if (xs.empty()) return 0.0;
   return *std::min_element(xs.begin(), xs.end());
@@ -143,14 +135,7 @@ void RunningStats::add(double x) noexcept {
     max_ = std::max(max_, x);
   }
   ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::stddev() const noexcept {
-  if (n_ < 2) return 0.0;
-  return std::sqrt(m2_ / static_cast<double>(n_ - 1));
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
 
 }  // namespace ca5g::common

@@ -15,9 +15,6 @@ namespace ca5g::common {
 /// Sample standard deviation (n-1 denominator); 0 if fewer than 2 values.
 [[nodiscard]] double stddev(std::span<const double> xs) noexcept;
 
-/// Population variance helper used by tree learners (n denominator).
-[[nodiscard]] double variance_population(std::span<const double> xs) noexcept;
-
 [[nodiscard]] double min_value(std::span<const double> xs) noexcept;
 [[nodiscard]] double max_value(std::span<const double> xs) noexcept;
 
@@ -45,20 +42,18 @@ namespace ca5g::common {
 [[nodiscard]] std::size_t count_modes(std::span<const double> xs, std::size_t bins,
                                       double min_mass_fraction = 0.02);
 
-/// Streaming mean/std accumulator (Welford).
+/// Streaming mean/min/max accumulator.
 class RunningStats {
  public:
   void add(double x) noexcept;
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
-  [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return min_; }
   [[nodiscard]] double max() const noexcept { return max_; }
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };

@@ -16,12 +16,6 @@ float xavier_std(std::size_t fan_in, std::size_t fan_out) {
 
 }  // namespace
 
-std::size_t Module::parameter_count() {
-  std::size_t total = 0;
-  for (const auto& p : parameters()) total += p.size();
-  return total;
-}
-
 // ---- Linear ----------------------------------------------------------------
 
 Linear::Linear(common::Rng& rng, std::size_t in_features, std::size_t out_features)

@@ -17,9 +17,6 @@ class Module {
   virtual ~Module() = default;
   /// All trainable parameter tensors (shared storage with the module).
   [[nodiscard]] virtual std::vector<Tensor> parameters() = 0;
-
-  /// Total scalar parameter count.
-  [[nodiscard]] std::size_t parameter_count();
 };
 
 /// Fully connected layer: y = x·W + b, with x as (batch × in).

@@ -8,8 +8,6 @@
 
 namespace ca5g::nn {
 
-Adam::Adam(std::vector<Tensor> parameters) : Adam(std::move(parameters), Config{}) {}
-
 Adam::Adam(std::vector<Tensor> parameters, Config config)
     : params_(std::move(parameters)), config_(config) {
   CA5G_CHECK_MSG(!params_.empty(), "Adam with no parameters");

@@ -20,7 +20,6 @@ class Adam {
   };
 
   Adam(std::vector<Tensor> parameters, Config config);
-  explicit Adam(std::vector<Tensor> parameters);
 
   /// Zero all parameter gradients.
   void zero_grad();

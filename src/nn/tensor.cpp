@@ -137,18 +137,6 @@ std::vector<float>& Tensor::grad() {
   return node_->grad;
 }
 
-const std::vector<float>& Tensor::grad() const {
-  check_defined(*this, "grad()");
-  // No lazy allocation here: a const accessor mutating the node is a
-  // data race once trained models are shared across serving threads.
-  // Gradients exist by construction on requires_grad nodes and after
-  // zero_grad(); anything else is a caller bug.
-  CA5G_CHECK_MSG(node_->grad.size() == node_->values.size(),
-                 "grad() const before the gradient buffer exists; use "
-                 "zero_grad() or a requires_grad tensor");
-  return node_->grad;
-}
-
 bool Tensor::requires_grad() const {
   check_defined(*this, "requires_grad()");
   return node_->requires_grad;

@@ -62,11 +62,6 @@ class Tensor {
   [[nodiscard]] std::vector<float>& values();
   [[nodiscard]] const std::vector<float>& values() const;
   [[nodiscard]] std::vector<float>& grad();
-  /// Read-only gradient access. The buffer must already exist — it is
-  /// allocated when a requires_grad node is built or by zero_grad() —
-  /// because a const accessor that lazily allocates would mutate shared
-  /// state under concurrent readers (e.g. a served model).
-  [[nodiscard]] const std::vector<float>& grad() const;
 
   [[nodiscard]] bool requires_grad() const;
   void zero_grad();

@@ -40,12 +40,6 @@ bool is_segment(std::string_view seg) {
   return true;
 }
 
-std::string prometheus_name(std::string_view name) {
-  std::string out(name);
-  std::replace(out.begin(), out.end(), '.', '_');
-  return out;
-}
-
 }  // namespace
 
 // --- JSON helpers ------------------------------------------------------------
@@ -156,14 +150,6 @@ void Histogram::observe(double v) noexcept {
   atomic_max(max_, v);
 }
 
-void Histogram::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
-}
-
 // --- Snapshots ---------------------------------------------------------------
 
 HistogramSnapshot HistogramSnapshot::from(const std::string& name, const Histogram& h) {
@@ -201,51 +187,6 @@ double HistogramSnapshot::quantile(double q) const {
     }
   }
   return max;
-}
-
-void HistogramSnapshot::merge(const HistogramSnapshot& other) {
-  CA5G_CHECK_MSG(buckets.size() == other.buckets.size(),
-                 "histogram merge with mismatched bucket counts");
-  CA5G_CHECK_NEAR(spec.lower, other.spec.lower, 1e-12);
-  CA5G_CHECK_NEAR(spec.upper, other.spec.upper, 1e-3);
-  if (other.count == 0) return;
-  if (count == 0) {
-    min = other.min;
-    max = other.max;
-  } else {
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
-  }
-  count += other.count;
-  sum += other.sum;
-  for (std::size_t i = 0; i < buckets.size(); ++i) buckets[i] += other.buckets[i];
-}
-
-void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  for (const auto& [name, value] : other.counters) {
-    auto it = std::find_if(counters.begin(), counters.end(),
-                           [&](const auto& kv) { return kv.first == name; });
-    if (it == counters.end())
-      counters.emplace_back(name, value);
-    else
-      it->second += value;
-  }
-  for (const auto& [name, value] : other.gauges) {
-    auto it = std::find_if(gauges.begin(), gauges.end(),
-                           [&](const auto& kv) { return kv.first == name; });
-    if (it == gauges.end())
-      gauges.emplace_back(name, value);
-    else
-      it->second = value;
-  }
-  for (const auto& h : other.histograms) {
-    auto it = std::find_if(histograms.begin(), histograms.end(),
-                           [&](const auto& mine) { return mine.name == h.name; });
-    if (it == histograms.end())
-      histograms.push_back(h);
-    else
-      it->merge(h);
-  }
 }
 
 const HistogramSnapshot* MetricsSnapshot::histogram(std::string_view name) const {
@@ -316,34 +257,6 @@ std::string to_json(const MetricsSnapshot& snapshot, int indent) {
   return os.str();
 }
 
-std::string to_prometheus(const MetricsSnapshot& snapshot) {
-  std::ostringstream os;
-  for (const auto& [name, value] : snapshot.counters) {
-    const auto prom = prometheus_name(name);
-    os << "# TYPE " << prom << " counter\n" << prom << ' ' << value << '\n';
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    const auto prom = prometheus_name(name);
-    os << "# TYPE " << prom << " gauge\n" << prom << ' ' << json_number(value) << '\n';
-  }
-  for (const auto& h : snapshot.histograms) {
-    const auto prom = prometheus_name(h.name);
-    os << "# TYPE " << prom << " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      if (h.buckets[b] == 0 && b + 1 < h.buckets.size()) continue;
-      cumulative += h.buckets[b];
-      const double le = h.bucket_upper_bound(b);
-      os << prom << "_bucket{le=\""
-         << (std::isinf(le) ? std::string("+Inf") : json_number(le)) << "\"} "
-         << cumulative << '\n';
-    }
-    os << prom << "_sum " << json_number(h.sum) << '\n';
-    os << prom << "_count " << h.count << '\n';
-  }
-  return os.str();
-}
-
 // --- Registry ----------------------------------------------------------------
 
 MetricsRegistry& MetricsRegistry::global() {
@@ -402,13 +315,6 @@ std::vector<std::string> MetricsRegistry::names() const {
   for (const auto& kv : gauges_) out.push_back(kv.first);
   for (const auto& kv : histograms_) out.push_back(kv.first);
   return out;
-}
-
-void MetricsRegistry::reset_values() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& kv : counters_) kv.second->reset();
-  for (auto& kv : gauges_) kv.second->reset();
-  for (auto& kv : histograms_) kv.second->reset();
 }
 
 }  // namespace ca5g::obs

@@ -62,7 +62,6 @@ class Counter {
   [[nodiscard]] std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -78,7 +77,6 @@ class Gauge {
     }
   }
   [[nodiscard]] double value() const noexcept { return value_.load(std::memory_order_relaxed); }
-  void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -121,8 +119,6 @@ class Histogram {
   /// Index of the bucket a value lands in (last index = overflow).
   [[nodiscard]] std::size_t bucket_index(double v) const noexcept;
 
-  void reset() noexcept;
-
  private:
   HistogramSpec spec_;
   double log_lower_;
@@ -134,13 +130,12 @@ class Histogram {
   std::atomic<double> max_{0.0};
 
   friend struct HistogramSnapshot;
-  friend class MetricsRegistry;
 };
 
 // --- Snapshots ---------------------------------------------------------------
 
-/// Point-in-time copy of one histogram; safe to merge/serialize while the
-/// live instrument keeps counting.
+/// Point-in-time copy of one histogram; safe to serialize while the live
+/// instrument keeps counting.
 struct HistogramSnapshot {
   std::string name;
   HistogramSpec spec;
@@ -159,9 +154,6 @@ struct HistogramSnapshot {
   /// (q in [0,1]); a bucket-resolution quantile estimate.
   [[nodiscard]] double quantile(double q) const;
   [[nodiscard]] double bucket_upper_bound(std::size_t i) const;
-
-  /// Element-wise merge; spec layouts must match (CheckError otherwise).
-  void merge(const HistogramSnapshot& other);
 };
 
 /// Full registry snapshot: isolated from later updates.
@@ -169,9 +161,6 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<HistogramSnapshot> histograms;
-
-  /// Sum counters, overwrite gauges, merge histograms (for sharded runs).
-  void merge(const MetricsSnapshot& other);
 
   [[nodiscard]] const HistogramSnapshot* histogram(std::string_view name) const;
   [[nodiscard]] const std::uint64_t* counter(std::string_view name) const;
@@ -187,9 +176,6 @@ struct MetricsSnapshot {
 
 /// JSON object: {"counters": {...}, "gauges": {...}, "histograms": {...}}.
 [[nodiscard]] std::string to_json(const MetricsSnapshot& snapshot, int indent = 2);
-
-/// Prometheus text exposition (dots become underscores, TYPE lines emitted).
-[[nodiscard]] std::string to_prometheus(const MetricsSnapshot& snapshot);
 
 // --- Registry ----------------------------------------------------------------
 
@@ -207,10 +193,6 @@ class MetricsRegistry {
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
   [[nodiscard]] std::vector<std::string> names() const;
-
-  /// Zero every instrument (registrations survive). Tests and per-run
-  /// CLI exports use this to scope values to one run.
-  void reset_values();
 
  private:
   mutable std::mutex mu_;

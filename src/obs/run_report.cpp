@@ -46,11 +46,6 @@ void RunReport::event(std::string_view kind, std::string_view detail) {
   events_.push_back(RunEvent{events_.size(), t, std::string(kind), std::string(detail)});
 }
 
-std::vector<RunEvent> RunReport::events() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return events_;
-}
-
 std::string RunReport::summary_json(const MetricsSnapshot* metrics, int indent) const {
   const std::lock_guard<std::mutex> lock(mu_);
   const std::string pad(static_cast<std::size_t>(indent), ' ');

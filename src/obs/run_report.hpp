@@ -57,7 +57,6 @@ class RunReport {
 
   [[nodiscard]] const std::string& run_name() const noexcept { return run_name_; }
   [[nodiscard]] double elapsed_s() const noexcept { return watch_.elapsed_s(); }
-  [[nodiscard]] std::vector<RunEvent> events() const;
 
   /// The summary JSON object; embeds `metrics` when non-null.
   [[nodiscard]] std::string summary_json(const MetricsSnapshot* metrics = nullptr,

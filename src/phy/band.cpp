@@ -59,13 +59,6 @@ const BandInfo& band_info(BandId id) {
   return kBands[idx];
 }
 
-BandId band_from_name(std::string_view name) {
-  for (const auto& band : kBands)
-    if (band.name == name) return band.id;
-  CA5G_CHECK_MSG(false, "unknown band name: " << name);
-  return BandId::kB2;  // unreachable
-}
-
 std::span<const BandInfo> all_bands() { return kBands; }
 
 double downlink_duty(Duplex duplex) noexcept {

@@ -45,9 +45,6 @@ struct BandInfo {
 /// Catalogue lookup. Data is immutable and static; references stay valid.
 [[nodiscard]] const BandInfo& band_info(BandId id);
 
-/// Band by name ("b66", "n77"); throws CheckError for unknown names.
-[[nodiscard]] BandId band_from_name(std::string_view name);
-
 /// All catalogued bands, in enum order.
 [[nodiscard]] std::span<const BandInfo> all_bands();
 

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
-#include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
 
@@ -155,19 +154,6 @@ void DeepPredictor::fit(const traces::Dataset& ds,
     }
   }
   if (!val.empty()) restore_parameters(best_params);
-  rebuild_plan();
-}
-
-void DeepPredictor::save(const std::string& path) {
-  nn::save_parameters(trainable_parameters(), path);
-}
-
-void DeepPredictor::load(const traces::Dataset& ds, const std::string& path) {
-  horizon_ = ds.horizon();
-  common::Rng rng(config_.seed);
-  build(ds, rng);
-  auto params = trainable_parameters();
-  nn::load_parameters(params, path);
   rebuild_plan();
 }
 

@@ -44,12 +44,10 @@ class DeepPredictor : public Predictor {
     return val_history_;
   }
 
-  /// Persist the trained parameters (call after fit()).
-  void save(const std::string& path);
-
-  /// Rebuild the network for `ds`'s dimensions and load parameters
-  /// previously stored with save(). The model is then ready to predict.
-  void load(const traces::Dataset& ds, const std::string& path);
+  /// All trainable parameters, sharing storage with the network; call
+  /// after fit(). The order is fixed per model (the golden-model test
+  /// digests the trained weights in this order).
+  [[nodiscard]] virtual std::vector<nn::Tensor> trainable_parameters() = 0;
 
   /// Toggle the compiled graph-free inference path (on by default).
   /// With it off — or when the model has no plan — predict() and
@@ -79,8 +77,8 @@ class DeepPredictor : public Predictor {
  protected:
   /// Compile this model's plan from the current weights. nullptr keeps
   /// the graph path (default, and e.g. the transformer Prism5G
-  /// variant). fit() and load() recompile via rebuild_plan(), so plans
-  /// never go stale: weights only change through those two paths.
+  /// variant). fit() recompiles via rebuild_plan(), so plans never go
+  /// stale: weights only change through fit().
   [[nodiscard]] virtual std::unique_ptr<InferencePlan> compile_plan() const {
     return nullptr;
   }
@@ -93,8 +91,6 @@ class DeepPredictor : public Predictor {
   /// `training` enables teacher forcing where applicable.
   [[nodiscard]] virtual nn::Tensor forward_batch(
       std::span<const traces::Window* const> batch, bool training) const = 0;
-  /// All trainable parameters.
-  [[nodiscard]] virtual std::vector<nn::Tensor> trainable_parameters() = 0;
 
   /// Append `rows` prediction rows of `horizon` normalized floats to
   /// `out`, each value clamped to [0, 1.5] — the one output step of the

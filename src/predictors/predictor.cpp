@@ -42,13 +42,9 @@ std::vector<std::vector<double>> Predictor::predict_many(
   return out;
 }
 
-namespace {
-
-/// Shared evaluation walk: batched inference over the test set, then
-/// prediction/truth pairs truncated to each window's available target.
-void collect_predictions(const Predictor& model,
-                         std::span<const traces::Window* const> test,
-                         std::vector<double>& pred, std::vector<double>& truth) {
+double evaluate_rmse(const Predictor& model,
+                     std::span<const traces::Window* const> test) {
+  CA5G_CHECK_MSG(!test.empty(), "evaluate_rmse on empty test set");
   CA5G_METRIC_HISTOGRAM(inference_ns, "predictor.inference_ns");
   CA5G_METRIC_COUNTER(samples, "predictor.samples_total");
   samples.inc(test.size());
@@ -56,6 +52,8 @@ void collect_predictions(const Predictor& model,
     CA5G_SCOPED_TIMER(inference_ns);
     return model.predict_many(test);
   }();
+  // Prediction/truth pairs, truncated to each window's available target.
+  std::vector<double> pred, truth;
   for (std::size_t i = 0; i < test.size(); ++i) {
     const auto& p = predictions[i];
     const traces::Window* w = test[i];
@@ -64,24 +62,7 @@ void collect_predictions(const Predictor& model,
     truth.insert(truth.end(), w->target.begin(),
                  w->target.begin() + static_cast<std::ptrdiff_t>(n));
   }
-}
-
-}  // namespace
-
-double evaluate_rmse(const Predictor& model,
-                     std::span<const traces::Window* const> test) {
-  CA5G_CHECK_MSG(!test.empty(), "evaluate_rmse on empty test set");
-  std::vector<double> pred, truth;
-  collect_predictions(model, test, pred, truth);
   return common::rmse(pred, truth);
-}
-
-double evaluate_mae(const Predictor& model,
-                    std::span<const traces::Window* const> test) {
-  CA5G_CHECK_MSG(!test.empty(), "evaluate_mae on empty test set");
-  std::vector<double> pred, truth;
-  collect_predictions(model, test, pred, truth);
-  return common::mae(pred, truth);
 }
 
 }  // namespace ca5g::predictors

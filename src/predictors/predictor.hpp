@@ -62,8 +62,4 @@ class Predictor {
 [[nodiscard]] double evaluate_rmse(const Predictor& model,
                                    std::span<const traces::Window* const> test);
 
-/// Mean absolute error, same conventions.
-[[nodiscard]] double evaluate_mae(const Predictor& model,
-                                  std::span<const traces::Window* const> test);
-
 }  // namespace ca5g::predictors

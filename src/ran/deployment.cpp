@@ -147,22 +147,11 @@ const Carrier& Deployment::carrier(CarrierId id) const {
   return carriers[id];
 }
 
-const Site& Deployment::site_of(CarrierId id) const { return sites[carrier(id).site]; }
-
 std::vector<CarrierId> Deployment::carriers_of_rat(phy::Rat rat) const {
   std::vector<CarrierId> out;
   for (const auto& c : carriers)
     if (phy::band_info(c.band).rat == rat) out.push_back(c.id);
   return out;
-}
-
-std::string Deployment::carrier_label(CarrierId id) const {
-  const Carrier& c = carrier(id);
-  std::string label{phy::band_info(c.band).name};
-  label += '-';
-  label += static_cast<char>('a' + (c.channel_index % 26));
-  label += '(' + std::to_string(c.bandwidth_mhz) + ')';
-  return label;
 }
 
 Deployment make_deployment(OperatorId op, radio::Environment env,
@@ -250,13 +239,19 @@ Deployment make_deployment(OperatorId op, radio::Environment env,
   return dep;
 }
 
-std::size_t best_ca_site(const Deployment& dep, phy::Rat rat) {
+std::size_t best_ca_site(const Deployment& dep, phy::Rat rat,
+                         std::span<const phy::BandId> band_lock) {
   std::size_t best = 0;
   std::size_t best_count = 0;
   for (std::size_t s = 0; s < dep.sites.size(); ++s) {
     std::size_t count = 0;
-    for (auto id : dep.sites[s].carriers)
-      if (phy::band_info(dep.carrier(id).band).rat == rat) ++count;
+    for (auto id : dep.sites[s].carriers) {
+      const auto band = dep.carrier(id).band;
+      if (phy::band_info(band).rat != rat) continue;
+      if (band_lock.empty() || std::find(band_lock.begin(), band_lock.end(), band) !=
+                                   band_lock.end())
+        ++count;
+    }
     if (count > best_count) {
       best_count = count;
       best = s;

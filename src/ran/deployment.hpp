@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,11 +66,8 @@ struct Deployment {
   LoadProfile load;
 
   [[nodiscard]] const Carrier& carrier(CarrierId id) const;
-  [[nodiscard]] const Site& site_of(CarrierId id) const;
   /// Carriers filtered by radio access technology.
   [[nodiscard]] std::vector<CarrierId> carriers_of_rat(phy::Rat rat) const;
-  /// A short display name like "n41-a(100)" for tables.
-  [[nodiscard]] std::string carrier_label(CarrierId id) const;
 };
 
 /// Parameters for procedural deployment generation.
@@ -85,8 +83,10 @@ struct DeploymentParams {
 [[nodiscard]] Deployment make_deployment(OperatorId op, radio::Environment env,
                                          const DeploymentParams& params);
 
-/// Site index with the most carriers of the given RAT — where an
-/// ideal-condition (line-of-sight hot spot) measurement would park.
-[[nodiscard]] std::size_t best_ca_site(const Deployment& dep, phy::Rat rat);
+/// Site index with the most carriers of the given RAT whose band is in
+/// `band_lock` (any band when empty; see sim::ScenarioConfig::band_lock) —
+/// where an ideal-condition (line-of-sight hot spot) measurement parks.
+[[nodiscard]] std::size_t best_ca_site(const Deployment& dep, phy::Rat rat,
+                                       std::span<const phy::BandId> band_lock = {});
 
 }  // namespace ca5g::ran

@@ -10,46 +10,14 @@ std::uint64_t ModelRegistry::install(const std::string& name,
   CA5G_CHECK_MSG(model != nullptr, "ModelRegistry::install with null model");
   CA5G_METRIC_COUNTER(swaps, "serve.model_swaps_total");
   std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t version = next_version_++;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].name != name) continue;
-    entries_[i].model = std::move(model);
-    entries_[i].version = version;
-    swaps.inc();
-    return version;
-  }
-  entries_.push_back(Entry{std::move(model), version, name});
-  if (!has_current_) {
-    current_index_ = entries_.size() - 1;
-    has_current_ = true;
-  }
+  current_ = Entry{std::move(model), current_.version + 1, name};
   swaps.inc();
-  return version;
-}
-
-bool ModelRegistry::select(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].name != name) continue;
-    current_index_ = i;
-    has_current_ = true;
-    return true;
-  }
-  return false;
+  return current_.version;
 }
 
 ModelRegistry::Entry ModelRegistry::current() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!has_current_) return {};
-  return entries_[current_index_];
-}
-
-std::vector<std::string> ModelRegistry::names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& e : entries_) out.push_back(e.name);
-  return out;
+  return current_;
 }
 
 }  // namespace ca5g::serve

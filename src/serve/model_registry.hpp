@@ -1,18 +1,17 @@
-// Named store of fitted predictors with atomic hot-swap. The serving
-// workers pin the active model once per micro-batch (a shared_ptr copy
-// under a short mutex), so an operator can install a freshly trained
-// model — or re-point "current" at another entry — while requests are in
-// flight: batches already dispatched finish on the model they pinned,
-// later batches pick up the replacement. Every install bumps a
-// monotonically increasing version that is echoed in each Prediction, so
-// clients can tell which model produced a horizon.
+// The serving model slot with atomic hot-swap. The serving workers pin
+// the model once per micro-batch (a shared_ptr copy under a short mutex),
+// so an operator can install a freshly trained model while requests are
+// in flight: batches already dispatched finish on the model they pinned,
+// later batches pick up the replacement. There is one slot: every install
+// replaces the served model and bumps a monotonically increasing version
+// that is echoed in each Prediction, so clients can tell which model
+// produced a horizon.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "predictors/predictor.hpp"
 
@@ -27,26 +26,17 @@ class ModelRegistry {
     std::string name;
   };
 
-  /// Install (or replace) `name`. The first install selects itself as
-  /// current; later installs of the currently selected name hot-swap the
-  /// serving model in place. Returns the new version.
+  /// Install `model` under `name`, replacing whatever is served. Returns
+  /// the new version.
   std::uint64_t install(const std::string& name,
                         std::shared_ptr<const predictors::Predictor> model);
 
-  /// Point "current" at an installed entry. False if `name` is unknown.
-  [[nodiscard]] bool select(const std::string& name);
-
-  /// Pin the current model. Entry.model is null until the first install.
+  /// Pin the served model. Entry.model is null until the first install.
   [[nodiscard]] Entry current() const;
-
-  [[nodiscard]] std::vector<std::string> names() const;
 
  private:
   mutable std::mutex mu_;
-  std::vector<Entry> entries_;
-  std::size_t current_index_ = 0;
-  bool has_current_ = false;
-  std::uint64_t next_version_ = 1;
+  Entry current_;
 };
 
 }  // namespace ca5g::serve

@@ -8,16 +8,6 @@
 
 namespace ca5g::serve {
 
-std::string_view admit_name(Admit a) {
-  switch (a) {
-    case Admit::kQueued: return "queued";
-    case Admit::kWarmingUp: return "warming-up";
-    case Admit::kShed: return "shed";
-    case Admit::kClosed: return "closed";
-  }
-  return "unknown";
-}
-
 PredictionServer::PredictionServer(const ServerConfig& config, ModelRegistry& registry,
                                    CompletionFn on_complete)
     : config_(config),
@@ -63,7 +53,6 @@ Admit PredictionServer::submit(UeId ue, const sim::TraceSample& sample) {
 
 void PredictionServer::worker_loop() {
   CA5G_METRIC_COUNTER(completed, "serve.completed_total");
-  CA5G_METRIC_COUNTER(errors, "serve.errors_total");
   CA5G_METRIC_COUNTER(batches, "serve.batches_total");
   CA5G_METRIC_HISTOGRAM(batch_size, "serve.batch_size_count");
   CA5G_METRIC_HISTOGRAM(assemble_ns, "serve.batch_assemble_ns");
@@ -76,8 +65,9 @@ void PredictionServer::worker_loop() {
   std::vector<Request> batch;
   batch.reserve(config_.max_batch);
   std::vector<traces::Window> windows(config_.max_batch);
-  std::vector<const traces::Window*> live;
-  std::vector<std::size_t> live_index;
+  std::vector<const traces::Window*> window_ptrs;
+  window_ptrs.reserve(config_.max_batch);
+  for (const auto& w : windows) window_ptrs.push_back(&w);
 
   for (;;) {
     batch.clear();
@@ -87,15 +77,13 @@ void PredictionServer::worker_loop() {
     batches.inc();
     batch_size.observe(static_cast<double>(batch.size()));
 
-    live.clear();
-    live_index.clear();
     {
       CA5G_SCOPED_TIMER(assemble_ns);
+      // Admission required a warm session and sessions are never
+      // dropped, so every request's window exists.
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (sessions_.snapshot(batch[i].ue, windows[i])) {
-          live.push_back(&windows[i]);
-          live_index.push_back(i);
-        }
+        const bool warm = sessions_.snapshot(batch[i].ue, windows[i]);
+        CA5G_CHECK_MSG(warm, "admitted UE " << batch[i].ue << " has no warm session");
       }
     }
 
@@ -104,29 +92,24 @@ void PredictionServer::worker_loop() {
                    "prediction dispatch with no model installed in the registry");
 
     std::vector<std::vector<double>> horizons;
-    if (!live.empty()) {
+    {
       CA5G_SCOPED_TIMER(predict_ns);
-      horizons = entry.model->predict_many(live);
+      horizons = entry.model->predict_many(
+          std::span<const traces::Window* const>(window_ptrs.data(), batch.size()));
     }
 
     const auto now = std::chrono::steady_clock::now();
-    std::size_t next_live = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       Prediction p;
       p.ue = batch[i].ue;
       p.seq = batch[i].seq;
+      p.ok = true;
       p.model_version = entry.version;
       p.latency_ns =
           std::chrono::duration_cast<std::chrono::nanoseconds>(now - batch[i].submitted)
               .count();
-      if (next_live < live_index.size() && live_index[next_live] == i) {
-        p.ok = true;
-        p.horizon = std::move(horizons[next_live]);
-        ++next_live;
-        completed.inc();
-      } else {
-        errors.inc();  // session erased between admission and dispatch
-      }
+      p.horizon = std::move(horizons[i]);
+      completed.inc();
       latency_ns.observe(static_cast<double>(p.latency_ns));
       on_complete_(p);
       completed_.fetch_add(1, std::memory_order_release);

@@ -25,9 +25,8 @@
 //   serve.warmup_rejected_total  samples before the UE window was full
 //   serve.shed_total             admission-control drops (queue full)
 //   serve.completed_total        predictions delivered
-//   serve.errors_total           session vanished between admit & dispatch
 //   serve.batches_total          micro-batches dispatched
-//   serve.model_swaps_total      ModelRegistry installs/hot-swaps
+//   serve.model_swaps_total      ModelRegistry installs (hot-swaps)
 //   serve.queue_depth_count      queue occupancy (gauge)
 //   serve.sessions_count         live UE sessions (gauge)
 //   serve.batch_size_count       dispatched batch sizes (histogram)
@@ -54,14 +53,13 @@ namespace ca5g::serve {
 
 /// Every metric name the serve subsystem registers; prism5g_lint
 /// validates each against the layer.noun_unit naming convention.
-inline constexpr std::array<std::string_view, 13> kServeMetricNames = {
+inline constexpr std::array<std::string_view, 12> kServeMetricNames = {
     "serve.requests_total",      "serve.warmup_rejected_total",
     "serve.shed_total",          "serve.completed_total",
-    "serve.errors_total",        "serve.batches_total",
-    "serve.model_swaps_total",   "serve.queue_depth_count",
-    "serve.sessions_count",      "serve.batch_size_count",
-    "serve.batch_assemble_ns",   "serve.predict_ns",
-    "serve.request_latency_ns",
+    "serve.batches_total",       "serve.model_swaps_total",
+    "serve.queue_depth_count",   "serve.sessions_count",
+    "serve.batch_size_count",    "serve.batch_assemble_ns",
+    "serve.predict_ns",          "serve.request_latency_ns",
 };
 
 /// Outcome of submitting one sample.
@@ -72,13 +70,11 @@ enum class Admit : std::uint8_t {
   kClosed,     ///< server is stopping
 };
 
-[[nodiscard]] std::string_view admit_name(Admit a);
-
 /// One delivered prediction.
 struct Prediction {
   UeId ue = 0;
   std::uint64_t seq = 0;  ///< per-UE sample sequence number at submit
-  bool ok = false;        ///< false: session vanished before dispatch
+  bool ok = false;        ///< true on every delivered prediction
   std::uint64_t model_version = 0;
   std::int64_t latency_ns = 0;  ///< submit → completion wall time
   std::vector<double> horizon;  ///< H-step normalized throughput forecast

@@ -63,15 +63,6 @@ bool SessionTable::snapshot(UeId ue, traces::Window& out) const {
   return true;
 }
 
-bool SessionTable::erase(UeId ue) {
-  CA5G_METRIC_GAUGE(sessions_gauge, "serve.sessions_count");
-  Shard& shard = shard_for(ue);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const bool erased = shard.sessions.erase(ue) > 0;
-  CA5G_OBS_STMT(if (erased) sessions_gauge.add(-1.0);)
-  return erased;
-}
-
 std::size_t SessionTable::session_count() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {

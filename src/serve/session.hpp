@@ -72,11 +72,9 @@ class SessionTable {
   PushResult push(UeId ue, const sim::TraceSample& sample);
 
   /// Snapshot `ue`'s current window into `out`. False when the session
-  /// does not exist or is not yet warm.
+  /// does not exist or is not yet warm. Sessions are never dropped, so a
+  /// UE that was warm once stays snapshot-able.
   [[nodiscard]] bool snapshot(UeId ue, traces::Window& out) const;
-
-  /// Drop a session (UE detached). True when it existed.
-  bool erase(UeId ue);
 
   [[nodiscard]] std::size_t session_count() const;
 

@@ -54,8 +54,8 @@ enum CcFeature : std::size_t {
 ///   [C×kCcFeatureDim CC features | kGlobalFeatureDim globals | aggregate | C mask],
 /// so flat(t) is a prefix of row t. The mask is the paper's RRC-derived
 /// binary activation mask I. It keeps its own lane instead of aliasing
-/// kFeatActive: permutation importance shuffles the "active" feature
-/// column and must leave Prism5G's gate untouched.
+/// kFeatActive, so perturbing the "active" feature column leaves
+/// Prism5G's gate untouched.
 struct Window {
   std::size_t cc_slots = 0;
   /// [T][step_dim(cc_slots)] normalized history rows.

@@ -26,11 +26,4 @@ const UeCapability& ue_capability(ModemModel modem) {
   return kCapabilities[idx];
 }
 
-ModemModel modem_from_name(std::string_view name) {
-  for (const auto& cap : kCapabilities)
-    if (cap.modem_name == name) return cap.modem;
-  CA5G_CHECK_MSG(false, "unknown modem name: " << name);
-  return ModemModel::kX50;  // unreachable
-}
-
 }  // namespace ca5g::ue

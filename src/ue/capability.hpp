@@ -28,7 +28,4 @@ struct UeCapability {
 /// Capability lookup for a modem generation.
 [[nodiscard]] const UeCapability& ue_capability(ModemModel modem);
 
-/// Modem by name ("X50".."X70"); throws CheckError for unknown names.
-[[nodiscard]] ModemModel modem_from_name(std::string_view name);
-
 }  // namespace ca5g::ue

@@ -90,16 +90,4 @@ radio::Position DrivingMobility::step(double dt_s) {
   return pos_;
 }
 
-std::vector<radio::Position> straight_route(radio::Position a, radio::Position b,
-                                            std::size_t n) {
-  CA5G_CHECK_MSG(n >= 2, "route needs at least two points");
-  std::vector<radio::Position> route;
-  route.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = static_cast<double>(i) / static_cast<double>(n - 1);
-    route.push_back({a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t});
-  }
-  return route;
-}
-
 }  // namespace ca5g::ue

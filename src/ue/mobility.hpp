@@ -80,8 +80,4 @@ class DrivingMobility final : public MobilityModel {
   double stop_remaining_s_ = 0.0;
 };
 
-/// Straight-line route of `n` points from a to b (route helper).
-[[nodiscard]] std::vector<radio::Position> straight_route(radio::Position a,
-                                                          radio::Position b, std::size_t n);
-
 }  // namespace ca5g::ue

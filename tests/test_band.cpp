@@ -1,18 +1,11 @@
 // Unit + property tests for the 3GPP band catalogue.
 #include <gtest/gtest.h>
 
-#include "common/contracts.hpp"
 #include "phy/band.hpp"
 
 namespace {
 
 using namespace ca5g::phy;
-
-TEST(Band, LookupByName) {
-  EXPECT_EQ(band_from_name("n41"), BandId::kN41);
-  EXPECT_EQ(band_from_name("b66"), BandId::kB66);
-  EXPECT_THROW((void)band_from_name("n999"), ca5g::common::CheckError);
-}
 
 TEST(Band, CatalogueSize) { EXPECT_EQ(all_bands().size(), kBandCount); }
 
@@ -70,8 +63,6 @@ TEST_P(BandProperty, EntriesAreWellFormed) {
     EXPECT_EQ(band.scs_khz.front(), 15);
     for (int bw : band.bandwidths_mhz) EXPECT_LE(bw, 20);
   }
-  // Round-trip through band_from_name.
-  EXPECT_EQ(band_from_name(band.name), band.id);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBands, BandProperty,

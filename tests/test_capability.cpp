@@ -1,7 +1,6 @@
 // Unit tests for the UE capability table (paper Table 5, Fig. 29).
 #include <gtest/gtest.h>
 
-#include "common/contracts.hpp"
 #include "ue/capability.hpp"
 
 namespace {
@@ -25,12 +24,6 @@ TEST(Capability, LteCaSupportedEverywhere) {
   for (auto modem : {ModemModel::kX50, ModemModel::kX55, ModemModel::kX60,
                      ModemModel::kX65, ModemModel::kX70})
     EXPECT_EQ(ue_capability(modem).max_lte_ccs, 5);
-}
-
-TEST(Capability, NameRoundTrip) {
-  EXPECT_EQ(modem_from_name("X55"), ModemModel::kX55);
-  EXPECT_EQ(ue_capability(modem_from_name("X70")).phone_model, "Galaxy S23");
-  EXPECT_THROW((void)modem_from_name("X99"), ca5g::common::CheckError);
 }
 
 // Property: capabilities are monotone across modem generations.

@@ -85,14 +85,6 @@ TEST(Deployment, SameBandChannelsGetDistinctIndexes) {
   }
 }
 
-TEST(Deployment, CarrierLabels) {
-  const auto dep = make_deployment(OperatorId::kOpZ,
-                                   ca5g::radio::Environment::kUrbanMacro, params());
-  const auto label = dep.carrier_label(0);
-  EXPECT_FALSE(label.empty());
-  EXPECT_NE(label.find('('), std::string::npos);
-}
-
 TEST(Deployment, DeterministicForSeed) {
   const auto a = make_deployment(OperatorId::kOpY,
                                  ca5g::radio::Environment::kUrbanMacro, params(11));

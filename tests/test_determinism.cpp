@@ -11,10 +11,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -333,49 +329,29 @@ std::vector<std::unique_ptr<predictors::DeepPredictor>> golden_models() {
   return models;
 }
 
-/// Fold the parameter payload of a saved model into `fnv`: the blob is
-/// a three-word header, then per tensor its rows and cols words and
-/// rows·cols float32 values (src/nn/serialize.cpp).
-void add_saved_parameters(const std::string& path, Fnv1a& fnv) {
-  std::ifstream in(path, std::ios::binary);
-  const std::vector<char> blob{std::istreambuf_iterator<char>(in),
-                               std::istreambuf_iterator<char>()};
-  auto word = [&](std::size_t offset) {
-    std::uint32_t v = 0;
-    std::memcpy(&v, blob.data() + offset, sizeof v);
-    return v;
-  };
-  const std::uint32_t count = word(8);
-  std::size_t offset = 12;
-  for (std::uint32_t p = 0; p < count; ++p) {
-    const std::size_t n = std::size_t{word(offset)} * word(offset + 4);
-    offset += 8;
-    fnv.add(static_cast<std::uint64_t>(n));
-    for (std::size_t i = 0; i < n; ++i, offset += sizeof(float)) {
-      float v = 0.0f;
-      std::memcpy(&v, blob.data() + offset, sizeof v);
+/// Fold a trained model's weights into `fnv`: per trainable tensor, in
+/// trainable_parameters() order, its rows·cols and then every value's
+/// float32 bits.
+void add_parameters(predictors::DeepPredictor& model, Fnv1a& fnv) {
+  for (const auto& p : model.trainable_parameters()) {
+    fnv.add(static_cast<std::uint64_t>(p.rows() * p.cols()));
+    for (const float v : p.values())
       fnv.add(static_cast<std::uint64_t>(std::bit_cast<std::uint32_t>(v)));
-    }
   }
-  ASSERT_EQ(offset, blob.size()) << path;
 }
 
 TEST(GoldenModel, TrainedWeightsBitExact) {
   const auto ds = test::synthetic_dataset(2, 400);
   common::Rng rng(41);
   const auto split = ds.random_split(0.5, 0.2, rng);
-  const auto path =
-      (std::filesystem::temp_directory_path() / "ca5g_golden_model.bin").string();
 
   Fnv1a fnv;
   for (auto& model : golden_models()) {
     model->fit(ds, split.train, split.val);
-    model->save(path);
-    add_saved_parameters(path, fnv);
+    add_parameters(*model, fnv);
     for (const auto& horizon : model->predict_many(split.test))
       for (double v : horizon) fnv.add(v);
   }
-  std::filesystem::remove(path);
   EXPECT_EQ(fnv.h, kGoldenTrainedModelHash)
       << "trained weights or predictions changed. If intentional, update "
          "kGoldenTrainedModelHash to 0x"

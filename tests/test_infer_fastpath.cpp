@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <filesystem>
 #include <iterator>
 #include <limits>
 #include <span>
@@ -619,31 +618,6 @@ TEST(InferFastPath, TransformerPrism5gKeepsGraphPath) {
   EXPECT_FALSE(model.fast_path_active());
   const auto pred = model.predict(*split.test.front());
   EXPECT_EQ(pred.size(), split.test.front()->target.size());
-}
-
-// --- Plans survive save()/load() ---------------------------------------------
-
-TEST(InferFastPath, LoadedModelRecompilesPlan) {
-  const auto ds = test::synthetic_dataset(2, 200);
-  common::Rng rng(27);
-  const auto split = ds.random_split(0.5, 0.2, rng);
-  LstmPredictor trained(fast_config(2));
-  trained.fit(ds, split.train, split.val);
-
-  const auto path =
-      (std::filesystem::temp_directory_path() / "ca5g_infer_fastpath.bin").string();
-  trained.save(path);
-  LstmPredictor restored(fast_config(2));
-  restored.load(ds, path);
-  std::filesystem::remove(path);
-
-  // load() must recompile the plan from the restored weights...
-  ASSERT_TRUE(restored.fast_path_active());
-  // ...and the restored plan must match both the trained model and its
-  // own graph path exactly.
-  for (const auto* w : split.test)
-    EXPECT_EQ(restored.predict(*w), trained.predict(*w));
-  expect_fast_matches_graph(restored, split);
 }
 
 // --- Zero steady-state allocations -------------------------------------------

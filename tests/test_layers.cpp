@@ -25,12 +25,6 @@ TEST(Linear, ForwardShapeAndBias) {
   EXPECT_THROW(layer.forward(Tensor::zeros(4, 5)), ca5g::common::CheckError);
 }
 
-TEST(Linear, ParameterCount) {
-  Rng rng(2);
-  Linear layer(rng, 3, 2);
-  EXPECT_EQ(layer.parameter_count(), 3u * 2u + 2u);
-}
-
 TEST(Mlp, ForwardAndParams) {
   Rng rng(3);
   Mlp mlp(rng, {4, 8, 2});

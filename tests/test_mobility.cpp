@@ -94,14 +94,4 @@ TEST(Mobility, DrivingRejectsBadConfig) {
   EXPECT_THROW(DrivingMobility(Rng(7), {{0, 0}, {1, 1}}, 0.0), ca5g::common::CheckError);
 }
 
-TEST(Mobility, StraightRoute) {
-  const auto route = straight_route({0, 0}, {100, 50}, 5);
-  ASSERT_EQ(route.size(), 5u);
-  EXPECT_DOUBLE_EQ(route.front().x, 0.0);
-  EXPECT_DOUBLE_EQ(route.back().x, 100.0);
-  EXPECT_DOUBLE_EQ(route[2].x, 50.0);
-  EXPECT_DOUBLE_EQ(route[2].y, 25.0);
-  EXPECT_THROW(straight_route({0, 0}, {1, 1}, 1), ca5g::common::CheckError);
-}
-
 }  // namespace

@@ -115,8 +115,6 @@ TEST(Evaluate, RmseOverTestSet) {
   const double rmse = evaluate_rmse(hm, split.test);
   EXPECT_GT(rmse, 0.0);
   EXPECT_LT(rmse, 1.0);
-  const double mae = evaluate_mae(hm, split.test);
-  EXPECT_LE(mae, rmse + 1e-12);
 }
 
 TEST(TrainConfig, EnvOverrides) {

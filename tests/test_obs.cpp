@@ -1,5 +1,5 @@
 // Observability layer: instrument semantics, bucket arithmetic, snapshot
-// isolation/merge, thread-safety, RAII timing, and export formats.
+// isolation, thread-safety, RAII timing, and export formats.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -195,24 +195,20 @@ TEST(MetricNames, ConventionRejected) {
 
 // --- Instrument semantics ----------------------------------------------------
 
-TEST(Counter, IncrementAndReset) {
+TEST(Counter, Increment) {
   obs::Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.inc();
   c.inc(41);
   EXPECT_EQ(c.value(), 42u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Gauge, SetAddReset) {
+TEST(Gauge, SetAndAdd) {
   obs::Gauge g;
   g.set(2.5);
   EXPECT_DOUBLE_EQ(g.value(), 2.5);
   g.add(-1.0);
   EXPECT_DOUBLE_EQ(g.value(), 1.5);
-  g.reset();
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
 }
 
 TEST(Histogram, CountSumMinMax) {
@@ -277,7 +273,7 @@ TEST(Histogram, QuantileBucketResolution) {
   EXPECT_LE(snap.quantile(1.0), h.bucket_upper_bound(h.bucket_index(100.0)));
 }
 
-// --- Registry, snapshots, merge ----------------------------------------------
+// --- Registry and snapshots --------------------------------------------------
 
 TEST(Registry, SameNameSameInstrument) {
   obs::MetricsRegistry reg;
@@ -310,45 +306,6 @@ TEST(Registry, SnapshotIsolatedFromLaterUpdates) {
   EXPECT_EQ(snap.histogram("layer.lat_ns")->count, 1u);
   EXPECT_EQ(snap.counter("layer.absent_total"), nullptr);
   EXPECT_EQ(snap.histogram("layer.absent_ns"), nullptr);
-}
-
-TEST(Registry, ResetValuesKeepsRegistrations) {
-  obs::MetricsRegistry reg;
-  obs::Counter& c = reg.counter("layer.n_total");
-  reg.gauge("layer.loss_rmse").set(1.0);
-  c.inc(9);
-  reg.reset_values();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(reg.names().size(), 2u);  // registrations survive
-}
-
-TEST(Snapshot, MergeSumsCountersAndHistograms) {
-  obs::MetricsRegistry a;
-  obs::MetricsRegistry b;
-  a.counter("layer.rows_total").inc(2);
-  b.counter("layer.rows_total").inc(3);
-  b.counter("layer.other_total").inc(7);
-  a.histogram("layer.lat_ns").observe(5.0);
-  b.histogram("layer.lat_ns").observe(500.0);
-  auto merged = a.snapshot();
-  merged.merge(b.snapshot());
-  EXPECT_EQ(*merged.counter("layer.rows_total"), 5u);
-  EXPECT_EQ(*merged.counter("layer.other_total"), 7u);
-  const auto* h = merged.histogram("layer.lat_ns");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 2u);
-  EXPECT_DOUBLE_EQ(h->sum, 505.0);
-  EXPECT_DOUBLE_EQ(h->min, 5.0);
-  EXPECT_DOUBLE_EQ(h->max, 500.0);
-}
-
-TEST(Snapshot, MergeRejectsMismatchedSpecs) {
-  obs::MetricsRegistry a;
-  obs::MetricsRegistry b;
-  a.histogram("layer.x_ns", obs::HistogramSpec::nanoseconds()).observe(1.0);
-  b.histogram("layer.x_ns", obs::HistogramSpec::mbps()).observe(1.0);
-  auto merged = a.snapshot();
-  EXPECT_THROW(merged.merge(b.snapshot()), common::CheckError);
 }
 
 TEST(Registry, ConcurrentUpdatesAreLossless) {
@@ -485,18 +442,6 @@ TEST(Export, JsonEscaping) {
   EXPECT_EQ(obs::json_number(std::nan("")), "0");
   JsonReader reader(obs::json_number(std::numeric_limits<double>::infinity()));
   EXPECT_GT(reader.parse().number, 1e307);
-}
-
-TEST(Export, PrometheusExposition) {
-  obs::MetricsRegistry reg;
-  reg.counter("sim.steps_total").inc(7);
-  reg.histogram("sim.step_ns").observe(50.0);
-  const std::string text = obs::to_prometheus(reg.snapshot());
-  EXPECT_NE(text.find("# TYPE sim_steps_total counter"), std::string::npos);
-  EXPECT_NE(text.find("sim_steps_total 7"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE sim_step_ns histogram"), std::string::npos);
-  EXPECT_NE(text.find("sim_step_ns_bucket{le=\"+Inf\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("sim_step_ns_count 1"), std::string::npos);
 }
 
 // --- Run reports -------------------------------------------------------------

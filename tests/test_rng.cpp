@@ -97,28 +97,6 @@ TEST(Rng, BernoulliProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng rng(23);
-  const int n = 50000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double x = rng.exponential(4.0);
-    EXPECT_GE(x, 0.0);
-    sum += x;
-  }
-  EXPECT_NEAR(sum / n, 4.0, 0.1);
-}
-
-TEST(Rng, WeightedIndexRespectsWeights) {
-  Rng rng(29);
-  std::vector<double> weights{1.0, 0.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  const int n = 40000;
-  for (int i = 0; i < n; ++i) ++counts[rng.weighted_index(weights)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.75, 0.02);
-}
-
 TEST(Rng, ForkDecorrelates) {
   Rng parent(31);
   Rng child1 = parent.fork(1);
