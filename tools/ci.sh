@@ -6,6 +6,8 @@
 #  1e. Release, -Werror, -march=native (only the bit-exact suites: the
 #                                       goldens, the nn kernels and
 #                                       plan == graph)
+#  1f. -O0 -fno-inline, --gc-sections  (only the shipped binaries: the
+#                                       unreached-symbol probe)
 #   2. Debug + ASan + UBSan, -Werror   (memory/UB errors are fatal via
 #                                       -fno-sanitize-recover=all, and the
 #                                       CA5G_DCHECK contract family is on)
@@ -30,7 +32,10 @@
 # rebuilds the bit-exact suites with -march=native and reruns them: the
 # goldens, the pinned link budget table, the nn kernels against naive
 # loops and plan == graph must hold whatever the host's vector ISA, and
-# the stage prints whether the host has FMA (docs/TESTING.md).
+# the stage prints whether the host has FMA (docs/TESTING.md). The
+# unreached-symbol probe (tools/unreached_symbols.sh) then fails the run if
+# a library function that no shipped binary reaches is not on
+# tools/unreached_allowlist.txt.
 #
 # Parallel tests that fail are retried once via `ctest --rerun-failed`;
 # a pass on retry is reported LOUDLY as flaky and still fails the run —
@@ -138,6 +143,14 @@ for t in $NATIVE_TESTS; do
   run "./build-ci-native/tests/$t"
 done
 run ./build-ci-native/bench/bench_infer_fastpath --equality-only
+
+# --- 1f. Unreached-symbol probe ---------------------------------------------
+# Builds the shipped binaries (tools, benches, examples, perfbench) at -O0
+# with -fno-inline and links them with --gc-sections, then lists every src/
+# library function none of them keeps. Code that only tests call is
+# deleted, or allowlisted with a reason; the probe keeps it that way. It
+# needs its own full build, so it runs here and not in ctest.
+run env JOBS="$JOBS" BUILD_DIR=build-ci-unreached tools/unreached_symbols.sh
 
 # --- 2. ASan + UBSan (fatal on first report) --------------------------------
 run cmake -B build-ci-asan -S . \
