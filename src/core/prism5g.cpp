@@ -16,7 +16,7 @@ constexpr std::size_t kEncoderInputDim = traces::kCcFeatureDim + 1 + traces::kGl
 
 /// Stage CC c's step-t encoder inputs for every window of the batch into
 /// x (rows × kEncoderInputDim). Shared by the autograd and compiled paths
-/// so both cast the same doubles, and by both to CHECK that each window
+/// so both stage the same floats, and by both to CHECK that each window
 /// has the model's `cc_slots`: any other layout would be read out of step.
 void stage_cc_step(std::span<const traces::Window* const> batch, std::size_t cc_slots,
                    std::size_t c, std::size_t t, bool use_state, float* x) {
@@ -26,18 +26,18 @@ void stage_cc_step(std::span<const traces::Window* const> batch, std::size_t cc_
                                            << " CC slots for a model of " << cc_slots);
     const auto feat = batch[b]->cc(t, c);
     // State trigger: gate per-CC features by the RRC-derived activation
-    // mask (X' = X ⊙ I), in double before the float cast. Without it, raw
-    // features pass through untouched — inactive CCs then still look like
-    // zeros in most features, but the model loses the explicit on/off signal.
-    const double gate = use_state ? batch[b]->mask(t, c) : 1.0;
+    // mask (X' = X ⊙ I); a {0,1} gate is exact. Without it, raw features
+    // pass through untouched — inactive CCs then still look like zeros in
+    // most features, but the model loses the explicit on/off signal.
+    const float gate = use_state ? batch[b]->mask(t, c) : 1.0f;
     float* row = x + b * kEncoderInputDim;
     std::size_t f = 0;
-    for (; f < traces::kCcFeatureDim; ++f) row[f] = static_cast<float>(feat[f] * gate);
+    for (; f < traces::kCcFeatureDim; ++f) row[f] = feat[f] * gate;
     // Shared context (aggregate history + globals), gated like the rest:
     // X'_c = X_c ⊙ I deactivates the whole module.
-    row[f++] = static_cast<float>(batch[b]->agg(t) * gate);
+    row[f++] = batch[b]->agg(t) * gate;
     for (std::size_t g = 0; g < traces::kGlobalFeatureDim; ++g)
-      row[f++] = static_cast<float>(batch[b]->global(t, g) * gate);
+      row[f++] = batch[b]->global(t, g) * gate;
   }
 }
 
@@ -48,7 +48,7 @@ void stage_mask(std::span<const traces::Window* const> batch, std::size_t cc_slo
   for (std::size_t b = 0; b < batch.size(); ++b)
     for (std::size_t c = 0; c < cc_slots; ++c)
       for (std::size_t t = 0; t < t_len; ++t)
-        m[b * cc_slots * t_len + c * t_len + t] = static_cast<float>(batch[b]->mask(t, c));
+        m[b * cc_slots * t_len + c * t_len + t] = batch[b]->mask(t, c);
 }
 
 /// Compiled Prism5G forward: per-CC shared-LSTM encoding over
@@ -186,8 +186,7 @@ class Prism5gPlan final : public predictors::DeepPredictor::InferencePlan {
     for (std::size_t c = 0; c < cc_slots_; ++c) {
       const float* y = y_all + c * rows * horizon_;
       if (use_state_) {
-        for (std::size_t b = 0; b < rows; ++b)
-          gate[b] = static_cast<float>(batch[b]->mask(t_last, c));
+        for (std::size_t b = 0; b < rows; ++b) gate[b] = batch[b]->mask(t_last, c);
         infer::mul_col_broadcast(y, gate, gated, rows, horizon_);
         y = gated;
       }
@@ -311,7 +310,7 @@ std::vector<nn::Tensor> Prism5G::forward_per_cc(
       // The per-row gate needs no gradient; it scales the row's horizon.
       nn::Tensor gate(batch.size(), 1);
       for (std::size_t b = 0; b < batch.size(); ++b)
-        gate.set(b, 0, static_cast<float>(batch[b]->mask(t_last, c)));
+        gate.set(b, 0, batch[b]->mask(t_last, c));
       y = nn::mul_col_broadcast(y, gate);
     }
     outputs.push_back(y);

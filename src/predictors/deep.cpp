@@ -15,8 +15,7 @@ namespace {
 /// Stage one kThroughputOnly step: x (rows × 1).
 void stage_throughput(std::span<const traces::Window* const> batch, std::size_t t,
                       float* x) {
-  for (std::size_t b = 0; b < batch.size(); ++b)
-    x[b] = static_cast<float>(batch[b]->agg(t));
+  for (std::size_t b = 0; b < batch.size(); ++b) x[b] = batch[b]->agg(t);
 }
 
 /// Stage one kThroughputPlusGlobal step: x (rows × (1 + globals)).
@@ -25,9 +24,9 @@ void stage_throughput_global(std::span<const traces::Window* const> batch,
   constexpr std::size_t dim = 1 + traces::kGlobalFeatureDim;
   for (std::size_t b = 0; b < batch.size(); ++b) {
     float* row = x + b * dim;
-    row[0] = static_cast<float>(batch[b]->agg(t));
+    row[0] = batch[b]->agg(t);
     for (std::size_t g = 0; g < traces::kGlobalFeatureDim; ++g)
-      row[1 + g] = static_cast<float>(batch[b]->global(t, g));
+      row[1 + g] = batch[b]->global(t, g);
   }
 }
 
@@ -327,8 +326,7 @@ class LumosPlan final : public DeepPredictor::InferencePlan {
     // hidden width by construction) and starts from the last observed
     // aggregate throughput.
     float* y = arena.alloc(rows);
-    for (std::size_t b = 0; b < rows; ++b)
-      y[b] = static_cast<float>(batch[b]->agg(t_len - 1));
+    for (std::size_t b = 0; b < rows; ++b) y[b] = batch[b]->agg(t_len - 1);
     for (std::size_t h = 0; h < horizon_; ++h) {
       const float* top = decoder_.step(y, states, rows, xg, hg);
       head_.forward(top, rows, y);
@@ -422,7 +420,7 @@ nn::Tensor Lumos5gPredictor::forward_batch(std::span<const traces::Window* const
   // Decoder starts from the last observed aggregate throughput.
   nn::Tensor input(batch.size(), 1);
   for (std::size_t b = 0; b < batch.size(); ++b)
-    input.set(b, 0, static_cast<float>(batch[b]->agg(batch[b]->history() - 1)));
+    input.set(b, 0, batch[b]->agg(batch[b]->history() - 1));
 
   std::vector<nn::Tensor> step_outputs;
   for (std::size_t h = 0; h < horizon_; ++h) {

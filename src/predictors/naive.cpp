@@ -12,7 +12,7 @@ std::vector<double> HarmonicMeanPredictor::predict(const traces::Window& w) cons
   const std::size_t n = w.history();
   CA5G_CHECK_MSG(n > 0, "empty history");
   double denom = 0.0;
-  for (std::size_t t = 0; t < n; ++t) denom += 1.0 / std::max(w.agg(t), 1e-6);
+  for (std::size_t t = 0; t < n; ++t) denom += 1.0 / std::max<double>(w.agg(t), 1e-6);
   const double hm = static_cast<double>(n) / denom;
   return std::vector<double>(horizon_, hm);
 }

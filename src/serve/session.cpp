@@ -18,7 +18,7 @@ UeSession::UeSession(std::size_t history, std::size_t cc_slots, double tput_scal
 void UeSession::push(const sim::TraceSample& sample) {
   const std::size_t dim = traces::step_dim(cc_slots_);
   traces::featurize_step(sample, cc_slots_, tput_scale_mbps_,
-                         std::span<double>(ring_).subspan(next_slot_ * dim, dim));
+                         std::span<float>(ring_).subspan(next_slot_ * dim, dim));
   next_slot_ = (next_slot_ + 1) % history_;
   ++steps_seen_;
 }

@@ -3,7 +3,7 @@
 // Each incoming sim::TraceSample is normalized exactly once at ingest
 // (traces::featurize_step — the same code path the batch Dataset
 // windowing uses), so producing a prediction window is at most two
-// copies of pre-normalized doubles instead of a per-request build_window
+// copies of pre-normalized floats instead of a per-request build_window
 // rebuild over raw samples. Sessions are grouped into a sharded table so
 // ingest threads and batching workers contend on a shard mutex, not a
 // global one.
@@ -53,7 +53,7 @@ class UeSession {
   double tput_scale_mbps_;
   std::uint64_t steps_seen_ = 0;
   std::size_t next_slot_ = 0;  ///< ring row of the next write
-  std::vector<double> ring_;   ///< `history_` rows of traces::step_dim(cc_slots_)
+  std::vector<float> ring_;    ///< `history_` rows of traces::step_dim(cc_slots_)
 };
 
 /// Sharded UeId → UeSession map. push() and snapshot() lock only the

@@ -16,9 +16,10 @@ double norm_rsrp(double dbm) { return std::clamp((dbm + 140.0) / 70.0, 0.0, 1.0)
 double norm_rsrq(double db) { return std::clamp((db + 20.0) / 15.0, 0.0, 1.0); }
 double norm_sinr(double db) { return std::clamp((db + 15.0) / 50.0, 0.0, 1.0); }
 
+// Each feature is computed in double; the assignment rounds it to float once.
 void cc_features_into(const sim::CcSample& cc, double tput_scale,
-                      std::span<double, kCcFeatureDim> f) {
-  std::fill(f.begin(), f.end(), 0.0);
+                      std::span<float, kCcFeatureDim> f) {
+  std::fill(f.begin(), f.end(), 0.0f);
   if (!cc.active) return;  // inactive slots are zeroed, as in the paper's mask
   f[kFeatActive] = 1.0;
   f[kFeatPcell] = cc.is_pcell ? 1.0 : 0.0;
@@ -38,17 +39,17 @@ void cc_features_into(const sim::CcSample& cc, double tput_scale,
 }  // namespace
 
 void featurize_step(const sim::TraceSample& s, std::size_t cc_slots,
-                    double tput_scale_mbps, std::span<double> row) {
+                    double tput_scale_mbps, std::span<float> row) {
   CA5G_CHECK_LE_MSG(s.ccs.size(), cc_slots, "sample reports more CCs than cc_slots");
   CA5G_CHECK_EQ(row.size(), step_dim(cc_slots));
-  double* context = row.data() + cc_slots * kCcFeatureDim;  // globals, then aggregate
-  double* mask = row.data() + flat_dim(cc_slots);
+  float* context = row.data() + cc_slots * kCcFeatureDim;  // globals, then aggregate
+  float* mask = row.data() + flat_dim(cc_slots);
   for (std::size_t c = 0; c < cc_slots; ++c) {
     const sim::CcSample& cc = c < s.ccs.size() ? s.ccs[c] : sim::CcSample{};
     cc_features_into(cc, tput_scale_mbps, row.subspan(c * kCcFeatureDim).first<kCcFeatureDim>());
-    mask[c] = cc.active ? 1.0 : 0.0;
+    mask[c] = cc.active ? 1.0f : 0.0f;
   }
-  context[0] = s.events.empty() ? 0.0 : 1.0;
+  context[0] = s.events.empty() ? 0.0f : 1.0f;
   context[1] = static_cast<double>(s.active_cc_count()) / static_cast<double>(cc_slots);
   context[kGlobalFeatureDim] = s.aggregate_tput_mbps / tput_scale_mbps;
 }
@@ -67,7 +68,7 @@ Window build_window(const std::vector<sim::TraceSample>& samples, std::size_t st
   w.steps.resize(spec.history * dim);
   for (std::size_t t = 0; t < spec.history; ++t)
     featurize_step(samples[start + t], cc_slots, tput_scale_mbps,
-                   std::span<double>(w.steps).subspan(t * dim, dim));
+                   std::span<float>(w.steps).subspan(t * dim, dim));
   const std::size_t horizon_avail =
       std::min(spec.horizon, samples.size() - start - spec.history);
   w.target.resize(horizon_avail);

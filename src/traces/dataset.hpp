@@ -58,8 +58,9 @@ enum CcFeature : std::size_t {
 /// Prism5G's gate untouched.
 struct Window {
   std::size_t cc_slots = 0;
-  /// [T][step_dim(cc_slots)] normalized history rows.
-  std::vector<double> steps;
+  /// [T][step_dim(cc_slots)] normalized history rows, in float: the
+  /// precision every model reads. Targets stay double for RMSE.
+  std::vector<float> steps;
   /// [H] normalized aggregate throughput targets.
   std::vector<double> target;
   /// [H][C] normalized per-CC throughput targets, horizon-major.
@@ -70,31 +71,31 @@ struct Window {
   [[nodiscard]] std::size_t history() const noexcept {
     return steps.size() / step_dim(cc_slots);
   }
-  [[nodiscard]] std::span<const double, kCcFeatureDim> cc(std::size_t t,
-                                                          std::size_t c) const noexcept {
-    return std::span<const double, kCcFeatureDim>(steps.data() + at(t, c * kCcFeatureDim),
-                                                  kCcFeatureDim);
+  [[nodiscard]] std::span<const float, kCcFeatureDim> cc(std::size_t t,
+                                                         std::size_t c) const noexcept {
+    return std::span<const float, kCcFeatureDim>(steps.data() + at(t, c * kCcFeatureDim),
+                                                 kCcFeatureDim);
   }
-  [[nodiscard]] std::span<double, kCcFeatureDim> cc(std::size_t t, std::size_t c) noexcept {
-    return std::span<double, kCcFeatureDim>(steps.data() + at(t, c * kCcFeatureDim),
-                                            kCcFeatureDim);
+  [[nodiscard]] std::span<float, kCcFeatureDim> cc(std::size_t t, std::size_t c) noexcept {
+    return std::span<float, kCcFeatureDim>(steps.data() + at(t, c * kCcFeatureDim),
+                                           kCcFeatureDim);
   }
-  [[nodiscard]] double mask(std::size_t t, std::size_t c) const noexcept {
+  [[nodiscard]] float mask(std::size_t t, std::size_t c) const noexcept {
     return steps[at(t, flat_dim(cc_slots) + c)];
   }
-  [[nodiscard]] double& mask(std::size_t t, std::size_t c) noexcept {
+  [[nodiscard]] float& mask(std::size_t t, std::size_t c) noexcept {
     return steps[at(t, flat_dim(cc_slots) + c)];
   }
-  [[nodiscard]] double global(std::size_t t, std::size_t g) const noexcept {
+  [[nodiscard]] float global(std::size_t t, std::size_t g) const noexcept {
     return steps[at(t, cc_slots * kCcFeatureDim + g)];
   }
-  [[nodiscard]] double agg(std::size_t t) const noexcept {
+  [[nodiscard]] float agg(std::size_t t) const noexcept {
     return steps[at(t, cc_slots * kCcFeatureDim + kGlobalFeatureDim)];
   }
-  [[nodiscard]] double& agg(std::size_t t) noexcept {
+  [[nodiscard]] float& agg(std::size_t t) noexcept {
     return steps[at(t, cc_slots * kCcFeatureDim + kGlobalFeatureDim)];
   }
-  [[nodiscard]] std::span<const double> flat(std::size_t t) const noexcept {
+  [[nodiscard]] std::span<const float> flat(std::size_t t) const noexcept {
     return {steps.data() + at(t, 0), flat_dim(cc_slots)};
   }
   [[nodiscard]] double cc_target_at(std::size_t h, std::size_t c) const noexcept {
@@ -115,12 +116,13 @@ struct DatasetSpec {
 };
 
 /// Featurize one trace step into a history row of step_dim(cc_slots)
-/// values, in place. Shared by the batch windowing below and by the serve
-/// path's per-UE rings, which featurize each sample once at ingest.
+/// values, in place, each computed in double and stored as float. Shared
+/// by the batch windowing below and by the serve path's per-UE rings,
+/// which featurize each sample once at ingest.
 /// Samples with fewer than `cc_slots` CCs are padded with inactive
 /// slots; more than `cc_slots` is a contract violation.
 void featurize_step(const sim::TraceSample& s, std::size_t cc_slots,
-                    double tput_scale_mbps, std::span<double> row);
+                    double tput_scale_mbps, std::span<float> row);
 
 /// Build one window from trace samples starting at `start` (history
 /// begins there; targets follow). Used by Dataset and by the QoE apps'

@@ -528,8 +528,8 @@ TEST(InferFastPath, Prism5gPlanMatchesGraphOnInactiveCcs) {
                                         *split.test[2]};
   const std::size_t t_len = edited[0].history();
   for (std::size_t t = 0; t < t_len; ++t)
-    for (std::size_t c = 0; c < ds.cc_slots(); ++c) edited[0].mask(t, c) = 0.0;
-  for (std::size_t t = 0; t < t_len / 2; ++t) edited[1].mask(t, 0) = 0.0;
+    for (std::size_t c = 0; c < ds.cc_slots(); ++c) edited[0].mask(t, c) = 0.0f;
+  for (std::size_t t = 0; t < t_len / 2; ++t) edited[1].mask(t, 0) = 0.0f;
 
   traces::Dataset::Split edited_split;
   for (const auto& w : edited) edited_split.test.push_back(&w);

@@ -49,10 +49,11 @@ TEST(HarmonicMean, ConstantHistoryPredictsConstant) {
   HarmonicMeanPredictor hm;
   hm.fit(ds, {}, {});
   traces::Window w = ds.windows().front();
-  for (std::size_t t = 0; t < w.history(); ++t) w.agg(t) = 0.4;
+  const float level = 0.4f;
+  for (std::size_t t = 0; t < w.history(); ++t) w.agg(t) = level;
   const auto pred = hm.predict(w);
   ASSERT_EQ(pred.size(), ds.horizon());
-  for (double p : pred) EXPECT_NEAR(p, 0.4, 1e-9);
+  for (double p : pred) EXPECT_NEAR(p, level, 1e-9);
 }
 
 TEST(HarmonicMean, DominatedBySmallValues) {
@@ -60,8 +61,8 @@ TEST(HarmonicMean, DominatedBySmallValues) {
   HarmonicMeanPredictor hm;
   hm.fit(ds, {}, {});
   traces::Window w = ds.windows().front();
-  for (std::size_t t = 0; t < w.history(); ++t) w.agg(t) = 1.0;
-  w.agg(w.history() - 1) = 0.01;
+  for (std::size_t t = 0; t < w.history(); ++t) w.agg(t) = 1.0f;
+  w.agg(w.history() - 1) = 0.01f;
   const auto pred = hm.predict(w);
   // Harmonic mean of {1×9, 0.01} ≈ 0.092 — far below the arithmetic mean.
   EXPECT_LT(pred.front(), 0.2);
@@ -73,7 +74,7 @@ TEST(ProphetLite, ExtendsLinearTrend) {
   prophet.fit(ds, {}, {});
   traces::Window w = ds.windows().front();
   for (std::size_t t = 0; t < w.history(); ++t)
-    w.agg(t) = 0.1 + 0.02 * static_cast<double>(t);
+    w.agg(t) = 0.1f + 0.02f * static_cast<float>(t);
   const auto pred = prophet.predict(w);
   // Continuation of the line: next value ≈ 0.1 + 0.02·10 = 0.30.
   EXPECT_NEAR(pred.front(), 0.30, 0.02);
@@ -88,7 +89,7 @@ TEST(ProphetLite, OvershootsAtDrop) {
   prophet.fit(ds, {}, {});
   traces::Window w = ds.windows().front();
   for (std::size_t t = 0; t < w.history(); ++t)
-    w.agg(t) = 0.3 + 0.05 * static_cast<double>(t);
+    w.agg(t) = 0.3f + 0.05f * static_cast<float>(t);
   const auto pred = prophet.predict(w);
   EXPECT_GT(pred.back(), 0.6);  // keeps climbing ignorant of any drop
 }
@@ -99,7 +100,7 @@ TEST(ProphetLite, PredictionsClampedToValidRange) {
   prophet.fit(ds, {}, {});
   traces::Window w = ds.windows().front();
   for (std::size_t t = 0; t < w.history(); ++t)
-    w.agg(t) = 0.9 - 0.15 * static_cast<double>(t);  // steep dive
+    w.agg(t) = 0.9f - 0.15f * static_cast<float>(t);  // steep dive
   for (double p : prophet.predict(w)) {
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, 1.5);

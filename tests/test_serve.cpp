@@ -165,7 +165,7 @@ TEST(UeSession, StreamingWindowMatchesBatchBuildWindow) {
   // second wrap, 5 and 3. Every snapshot goes into the same Window, whose
   // buffer must be reused rather than reallocated.
   traces::Window streamed;
-  const double* buffer = nullptr;
+  const float* buffer = nullptr;
   for (const std::size_t pushes : {10u, 11u, 19u, 20u, 25u, 33u}) {
     SCOPED_TRACE(pushes);
     serve::UeSession session(spec.history, trace.cc_slots, scale);
@@ -276,7 +276,8 @@ TEST(PredictionServer, ServedWindowTracksTheStream) {
 
   // Windows are snapshotted at dispatch, so drain between submits to pin
   // each batch's view of the stream: the completion for sample i must
-  // echo sample i's normalized throughput as the newest window entry.
+  // echo sample i's normalized throughput, rounded to the window's float,
+  // as the newest window entry.
   std::size_t admitted = 0;
   for (std::size_t i = 0; i < 40; ++i) {
     if (server.submit(5, trace.samples[i]) != serve::Admit::kQueued) continue;
@@ -287,7 +288,7 @@ TEST(PredictionServer, ServedWindowTracksTheStream) {
     ASSERT_TRUE(p.ok);
     EXPECT_EQ(p.seq, i + 1);
     ASSERT_EQ(p.horizon.size(), 1u);
-    EXPECT_DOUBLE_EQ(p.horizon[0], trace.samples[i].aggregate_tput_mbps / scale);
+    EXPECT_EQ(p.horizon[0], static_cast<float>(trace.samples[i].aggregate_tput_mbps / scale));
   }
   EXPECT_EQ(admitted, 31u);  // samples 10..40 of a warm session
 }
