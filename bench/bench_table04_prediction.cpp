@@ -3,7 +3,16 @@
 // driving) at both time scales (10 ms / 100 ms horizon and 1 s / 10 s
 // horizon). Lower is better; the final column is Prism5G's improvement
 // over the best baseline.
+//
+// `--check RMSE_JSON_PATH` prints the same tables, also writes every
+// cell's per-model RMSEs to RMSE_JSON_PATH, and exits 1 unless Prism5G
+// has the lowest RMSE in all 12 cells. Run it in full mode: reduced
+// budgets under-train the deep models and invert the ordering.
 #include <chrono>
+#include <fstream>
+#include <iomanip>
+#include <sstream>
+#include <string_view>
 
 #include "bench_util.hpp"
 #include "eval/pipeline.hpp"
@@ -16,12 +25,22 @@ const std::vector<std::string> kModels{"Prophet", "LSTM", "TCN", "Lumos5G", "Pri
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  std::string check_path;
+  if (argc == 3 && std::string_view(argv[1]) == "--check") {
+    check_path = argv[2];
+  } else if (argc != 1) {
+    std::cerr << "usage: bench_table04_prediction [--check RMSE_JSON_PATH]\n";
+    return 2;
+  }
   bench::banner("Table 4",
                 "Prediction RMSE (normalized) — Prism5G vs baselines, "
                 "6 sub-datasets x 2 time scales");
 
   const auto gen = eval::GenerationConfig::from_env();
+  std::ostringstream cells;  // one JSON object per cell
+  cells << std::setprecision(17);
+  std::size_t cells_won = 0, cell_count = 0;
 
   for (auto scale : {eval::TimeScale::kShort, eval::TimeScale::kLong}) {
     common::TextTable table("Table 4 — " + eval::time_scale_name(scale));
@@ -48,6 +67,17 @@ int main() {
         else
           best_baseline = std::min(best_baseline, rmse);
       }
+      cells << (cell_count++ == 0 ? "\n" : ",\n") << "    {\"scale\": \""
+            << eval::time_scale_name(scale) << "\", \"dataset\": \"" << id.label()
+            << "\", \"rmse\": {";
+      for (std::size_t m = 0; m < kModels.size(); ++m)
+        cells << (m == 0 ? "" : ", ") << '"' << kModels[m] << "\": " << scores[m].rmse;
+      cells << "}}";
+      if (prism < best_baseline)
+        ++cells_won;
+      else if (!check_path.empty())
+        std::cerr << "check: Prism5G is not best in " << eval::time_scale_name(scale) << ' '
+                  << id.label() << '\n';
       const double improv = 100.0 * (best_baseline - prism) / best_baseline;
       improvements.add(improv);
       row.push_back(common::TextTable::num(improv, 2));
@@ -68,5 +98,16 @@ int main() {
   std::cout << "Paper shape: Prism5G wins every cell; average ≈14% / max ≈22%\n"
             << "RMSE reduction vs the best baseline; Prophet is consistently\n"
             << "the weakest; driving datasets are harder than walking.\n";
-  return 0;
+  if (check_path.empty()) return 0;
+
+  std::ofstream out(check_path);
+  out << "{\n  \"mode\": \"" << (bench::fast_mode() ? "fast" : "full")
+      << "\",\n  \"prism5g_best_cells\": " << cells_won << ",\n  \"cells\": ["
+      << cells.str() << "\n  ]\n}\n";
+  if (!out.good()) {
+    std::cerr << "check: cannot write " << check_path << '\n';
+    return 1;
+  }
+  std::cerr << "check: Prism5G best in " << cells_won << " of " << cell_count << " cells\n";
+  return cells_won == cell_count ? 0 : 1;
 }
