@@ -7,10 +7,12 @@
 // tensor graph, tree ensembles, or predictor internals.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/prism5g.hpp"
 #include "predictors/deep.hpp"
 #include "predictors/naive.hpp"
 #include "predictors/trees.hpp"
@@ -97,6 +99,38 @@ TEST(PredictorConcurrency, LstmSharedInstance) {
   LstmPredictor model(config);
   model.fit(ds, split.train, split.val);
   expect_concurrent_predictions_match(model, split);
+}
+
+// eval::evaluate_models trains the Table benches' models side by side
+// on the pool: each fit must touch nothing but its own model, so two
+// fits on two threads at once predict exactly what serial fits do.
+TEST(PredictorConcurrency, DeepModelsFitSideBySide) {
+  const auto ds = test::synthetic_dataset(2, 120);
+  common::Rng rng(14);
+  const auto split = ds.random_split(0.5, 0.2, rng);
+  TrainConfig config;
+  config.epochs = 1;
+  config.hidden = 8;
+  config.layers = 1;
+  config.batch_size = 32;
+  auto make_models = [&] {
+    std::vector<std::unique_ptr<DeepPredictor>> models;
+    models.push_back(std::make_unique<LstmPredictor>(config));
+    models.push_back(std::make_unique<core::Prism5G>(config));
+    return models;
+  };
+  const auto serial = make_models();
+  for (const auto& model : serial) model->fit(ds, split.train, split.val);
+
+  const auto side_by_side = make_models();
+  std::vector<std::thread> threads;
+  for (const auto& model : side_by_side)
+    threads.emplace_back([&, m = model.get()] { m->fit(ds, split.train, split.val); });
+  for (auto& th : threads) th.join();
+
+  for (std::size_t i = 0; i < serial.size(); ++i)
+    EXPECT_TRUE(serial[i]->predict_many(split.test) == side_by_side[i]->predict_many(split.test))
+        << serial[i]->name();
 }
 
 }  // namespace
