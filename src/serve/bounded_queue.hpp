@@ -1,15 +1,18 @@
-// Bounded MPMC request queue with batch-or-deadline consumption: the
+// Bounded MPMC request queue with work-conserving batch consumption: the
 // backbone of the prediction server's micro-batching dispatch. Producers
 // never block — try_push() is the admission-control point and returns
 // false when the queue is full, which the server surfaces as load
 // shedding. Consumers pop whole batches: pop_batch() blocks until at
-// least one item is available, then keeps gathering until either the
-// batch is full or the batch deadline (measured from the first pop)
-// expires — so a saturated server runs at max batch size while a nearly
-// idle one still bounds per-request latency by the deadline.
+// least one item is queued, then takes whatever is there (up to the batch
+// size) and returns at once. There is no batch timer, so a lone request
+// is dispatched immediately and batches grow only from backlog.
+//
+// Wake rule: try_push() wakes a consumer only when it takes the queue
+// from empty to non-empty, which keeps the wake off most pushes under
+// load; a pop that leaves items behind wakes the next consumer (a chained
+// wake), so no consumer sleeps while a backlog waits.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -31,39 +34,34 @@ class BoundedQueue {
   /// Non-blocking producer path. False when full or closed (the caller
   /// sheds the request); true once the item is queued.
   [[nodiscard]] bool try_push(T item) {
+    bool was_empty = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_ || items_.size() >= capacity_) return false;
+      was_empty = items_.empty();
       items_.push_back(std::move(item));
     }
-    not_empty_.notify_one();
+    if (was_empty) not_empty_.notify_one();
     return true;
   }
 
-  /// Gather up to `max` items into `out` (appended). Blocks until at
-  /// least one item arrives or the queue is closed; after the first item
-  /// keeps collecting until `max` items or `deadline` elapses. Returns
-  /// the number of items appended (0 only when closed and drained).
-  std::size_t pop_batch(std::vector<T>& out, std::size_t max,
-                        std::chrono::microseconds deadline) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return 0;  // closed and drained
-
+  /// Move up to `max` queued items into `out` (appended). Blocks until at
+  /// least one item is queued or the queue is closed, then returns at
+  /// once with what is there. Returns the number of items appended (0
+  /// only when closed and drained).
+  std::size_t pop_batch(std::vector<T>& out, std::size_t max) {
     std::size_t popped = 0;
-    const auto batch_deadline = std::chrono::steady_clock::now() + deadline;
-    for (;;) {
-      while (popped < max && !items_.empty()) {
+    bool backlog = false;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
+      for (; popped < max && !items_.empty(); ++popped) {
         out.push_back(std::move(items_.front()));
         items_.pop_front();
-        ++popped;
       }
-      if (popped >= max || closed_) break;
-      if (!not_empty_.wait_until(lock, batch_deadline,
-                                 [&] { return closed_ || !items_.empty(); }))
-        break;  // deadline fired: dispatch the partial batch
-      if (items_.empty()) break;  // woken by close()
+      backlog = !items_.empty();
     }
+    if (backlog) not_empty_.notify_one();
     return popped;
   }
 
@@ -86,8 +84,6 @@ class BoundedQueue {
     std::lock_guard<std::mutex> lock(mu_);
     return items_.size();
   }
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
   const std::size_t capacity_;

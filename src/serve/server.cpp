@@ -8,12 +8,16 @@
 
 namespace ca5g::serve {
 
+namespace {
+constexpr std::size_t kSessionShards = 16;  ///< SessionTable shards, one mutex each
+}  // namespace
+
 PredictionServer::PredictionServer(const ServerConfig& config, ModelRegistry& registry,
                                    CompletionFn on_complete)
     : config_(config),
       registry_(registry),
       on_complete_(std::move(on_complete)),
-      sessions_(config.session_shards, config.history, config.cc_slots,
+      sessions_(kSessionShards, config.history, config.cc_slots,
                 config.tput_scale_mbps),
       queue_(config.queue_capacity) {
   CA5G_CHECK_MSG(config_.workers >= 1, "server needs at least one worker");
@@ -71,8 +75,7 @@ void PredictionServer::worker_loop() {
 
   for (;;) {
     batch.clear();
-    if (queue_.pop_batch(batch, config_.max_batch, config_.batch_deadline) == 0)
-      break;  // closed and drained
+    if (queue_.pop_batch(batch, config_.max_batch) == 0) break;  // closed and drained
 
     batches.inc();
     batch_size.observe(static_cast<double>(batch.size()));

@@ -3,8 +3,9 @@
 // maintains each UE's float feature window incrementally (serve/session),
 // admits a prediction request per warm sample into a bounded MPMC queue
 // (serve/bounded_queue), and a pool of worker threads drains the queue in
-// micro-batches — dispatching when a batch fills or its deadline expires,
-// whichever comes first. A whole batch costs one batched
+// micro-batches: a free worker takes whatever is queued, up to max_batch,
+// and dispatches it at once, so batches grow only from backlog. A whole
+// batch costs one batched
 // Predictor::predict_many() call on the model pinned from the
 // ModelRegistry, so deep models amortize their forward pass across UEs
 // exactly as they do in training. For deep predictors that batched call
@@ -83,9 +84,7 @@ struct Prediction {
 struct ServerConfig {
   std::size_t workers = 4;
   std::size_t max_batch = 32;
-  std::chrono::microseconds batch_deadline{1000};
   std::size_t queue_capacity = 4096;
-  std::size_t session_shards = 16;
   std::size_t history = 10;   ///< window length (paper: T = 10 steps)
   std::size_t cc_slots = 4;
   double tput_scale_mbps = 1.0;  ///< the serving model's training scale
@@ -116,9 +115,6 @@ class PredictionServer {
   void stop();
 
   [[nodiscard]] const ServerConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::uint64_t completed() const noexcept {
-    return completed_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct Request {

@@ -3,7 +3,8 @@
 // the model registry's hot-swap, and the PredictionServer's edge cases —
 // warm-up rejection, queue-full shedding with exactly-once delivery of
 // every admitted request, the serve.* metric contract, hot-swap
-// mid-stream, and a batch deadline firing with a partial batch.
+// mid-stream, and work-conserving dispatch: a lone request leaves at once
+// and no wake-up is lost under concurrent submit and dispatch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -111,7 +113,6 @@ serve::ServerConfig small_config() {
   serve::ServerConfig config;
   config.workers = 2;
   config.max_batch = 8;
-  config.batch_deadline = std::chrono::microseconds(500);
   config.queue_capacity = 64;
   config.history = 10;
   config.cc_slots = 4;
@@ -130,7 +131,7 @@ TEST(BoundedQueue, FifoAndCapacity) {
   EXPECT_EQ(q.size(), 3u);
 
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 8, std::chrono::microseconds(100)), 3u);
+  EXPECT_EQ(q.pop_batch(out, 8), 3u);
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
 }
 
@@ -140,18 +141,46 @@ TEST(BoundedQueue, CloseDrainsThenSignalsShutdown) {
   q.close();
   EXPECT_FALSE(q.try_push(8));  // closed
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 4, std::chrono::microseconds(100)), 1u);
-  EXPECT_EQ(q.pop_batch(out, 4, std::chrono::microseconds(100)), 0u);  // drained
+  EXPECT_EQ(q.pop_batch(out, 4), 1u);
+  EXPECT_EQ(q.pop_batch(out, 4), 0u);  // drained
 }
 
-TEST(BoundedQueue, PopBatchHonorsDeadlineWithPartialBatch) {
-  serve::BoundedQueue<int> q(8);
-  EXPECT_TRUE(q.try_push(1));
-  std::vector<int> out;
-  const auto start = std::chrono::steady_clock::now();
-  // Asks for 8, only 1 available: must return after ~deadline, not hang.
-  EXPECT_EQ(q.pop_batch(out, 8, std::chrono::milliseconds(5)), 1u);
-  EXPECT_LT(std::chrono::steady_clock::now() - start, 2s);
+TEST(BoundedQueue, PopThatLeavesItemsWakesAnotherConsumer) {
+  // Two consumers sleep on an empty queue. A burst of two items wakes one
+  // of them through try_push (only the empty-to-non-empty push wakes);
+  // that consumer takes one item and must pass the wake on, or the second
+  // item waits while a consumer sleeps. The burst usually lands before
+  // the woken consumer runs, so a few rounds make a lost wake-up show.
+  for (int round = 0; round < 20; ++round) {
+    SCOPED_TRACE(round);
+    serve::BoundedQueue<int> q(8);
+    std::mutex mu;
+    std::condition_variable cv;
+    int returned = 0;
+    std::vector<std::thread> consumers;
+    for (int i = 0; i < 2; ++i)
+      consumers.emplace_back([&] {
+        std::vector<int> out;
+        if (q.pop_batch(out, 1) != 1) return;  // released by close()
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          ++returned;
+        }
+        cv.notify_all();
+      });
+    std::this_thread::sleep_for(20ms);  // let both consumers block
+    EXPECT_TRUE(q.try_push(1));
+    EXPECT_TRUE(q.try_push(2));
+
+    bool both = false;
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      both = cv.wait_for(lock, 5s, [&] { return returned == 2; });
+    }
+    q.close();  // frees a consumer a lost wake-up left asleep
+    for (auto& t : consumers) t.join();
+    ASSERT_TRUE(both) << "a consumer slept while an item was queued";
+  }
 }
 
 // --- UeSession / SessionTable ------------------------------------------------
@@ -301,7 +330,6 @@ TEST(PredictionServer, QueueFullSheds) {
   config.workers = 1;
   config.max_batch = 1;
   config.queue_capacity = 2;
-  config.batch_deadline = std::chrono::microseconds(100);
   Collector sink;
   serve::PredictionServer server(config, registry, sink.fn());
 
@@ -416,19 +444,21 @@ TEST(PredictionServer, HotSwapMidStream) {
   EXPECT_EQ(preds.back().model_version, v_new);
 }
 
-TEST(PredictionServer, BatchDeadlineFiresPartialBatch) {
+TEST(PredictionServer, LoneRequestsDispatchWithoutABatchTimer) {
   const auto trace = test::synthetic_trace(30);
   serve::ModelRegistry registry;
   registry.install("const", std::make_shared<ConstPredictor>(0.5));
   auto config = small_config();
   config.workers = 1;
   config.max_batch = 64;  // far more than the traffic we offer
-  config.batch_deadline = std::chrono::milliseconds(2);
   Collector sink;
   serve::PredictionServer server(config, registry, sink.fn());
 
   // Warm three UEs, then offer exactly one request each and go silent:
-  // only the deadline can dispatch this 3-request batch.
+  // no batch fills, so the worker must dispatch what is queued at once.
+  // The pause lets the worker block on the empty queue first, so the
+  // pushes have to wake it.
+  std::this_thread::sleep_for(20ms);
   for (std::size_t i = 0; i < 9; ++i)
     for (serve::UeId ue = 1; ue <= 3; ++ue) server.submit(ue, trace.samples[i]);
   for (serve::UeId ue = 1; ue <= 3; ++ue)
@@ -436,6 +466,56 @@ TEST(PredictionServer, BatchDeadlineFiresPartialBatch) {
 
   EXPECT_EQ(sink.wait_for(3), 3u);
   for (const auto& p : sink.snapshot()) EXPECT_TRUE(p.ok);
+}
+
+TEST(PredictionServer, EveryAdmittedRequestCompletesUnderConcurrentSubmit) {
+  // Four submitters on disjoint UEs race three workers that take at most
+  // 4 requests a batch, so pushes, backlog pops and chained wakes
+  // interleave. Every admitted (ue, seq) must be delivered exactly once.
+  // The queue holds every request, so nothing sheds and a request a lost
+  // wake-up strands fails the bounded wait instead of hanging the test.
+  const auto trace = test::synthetic_trace(250);
+  serve::ModelRegistry registry;
+  registry.install("const", std::make_shared<ConstPredictor>(0.5));
+  auto config = small_config();
+  config.workers = 3;
+  config.max_batch = 4;
+  config.queue_capacity = 4096;
+  Collector sink;
+  serve::PredictionServer server(config, registry, sink.fn());
+
+  std::this_thread::sleep_for(20ms);  // let the workers block on the empty queue
+  constexpr serve::UeId kSubmitters = 4, kUesEach = 4;
+  std::vector<std::vector<std::pair<serve::UeId, std::uint64_t>>> admitted(kSubmitters);
+  std::vector<std::thread> submitters;
+  for (serve::UeId t = 0; t < kSubmitters; ++t)
+    submitters.emplace_back([&, t] {
+      for (std::size_t i = 0; i < trace.samples.size(); ++i)
+        for (serve::UeId k = 0; k < kUesEach; ++k) {
+          const serve::UeId ue = t * kUesEach + k;
+          if (server.submit(ue, trace.samples[i]) == serve::Admit::kQueued)
+            admitted[t].emplace_back(ue, i + 1);  // sample i carries seq i + 1
+        }
+    });
+  for (auto& t : submitters) t.join();
+
+  std::vector<std::pair<serve::UeId, std::uint64_t>> expected;
+  for (const auto& a : admitted) expected.insert(expected.end(), a.begin(), a.end());
+  // Each UE's first history - 1 samples only warm its window.
+  ASSERT_EQ(expected.size(),
+            kSubmitters * kUesEach * (trace.samples.size() - (config.history - 1)));
+  EXPECT_EQ(sink.wait_for(expected.size()), expected.size())
+      << "an admitted request was never dispatched";
+  server.stop();  // no further delivery can arrive after the join
+
+  std::vector<std::pair<serve::UeId, std::uint64_t>> delivered;
+  for (const auto& p : sink.snapshot()) {
+    EXPECT_TRUE(p.ok);
+    delivered.emplace_back(p.ue, p.seq);
+  }
+  std::sort(expected.begin(), expected.end());
+  std::sort(delivered.begin(), delivered.end());
+  EXPECT_EQ(delivered, expected);
 }
 
 TEST(PredictionServer, SubmitAfterStopIsClosed) {
