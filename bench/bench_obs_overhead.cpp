@@ -1,23 +1,13 @@
-// Observability tax measurement. Two claims are verified:
-//
-//  1. Enabled overhead < 2%: per-op costs of Counter::inc /
-//     Histogram::observe / ScopedTimer are measured directly, the number
-//     of instrument updates a sim run actually performs is read back from
-//     the registry snapshot, and the product is compared against the
-//     run's wall time.
-//
-//  2. Disabled path compiles to nothing: building with -DPRISM5G_OBS=OFF
-//     (PRISM5G_OBS_ENABLED=0) swaps the macros below for constexpr null
-//     instruments. The static_asserts prove the stand-ins are empty,
-//     trivially-destructible literal types — every method a constexpr
-//     no-op on a stateless object, so the optimizer erases the calls and
-//     the micro loops below time an empty loop (~0 ns/op). Run this
-//     bench in both build flavours to see the per-step cost converge.
+// Observability tax measurement. The claim verified is that the
+// instrumentation overhead stays < 2%: per-op costs of Counter::inc /
+// Histogram::observe / ScopedTimer are measured directly, the number of
+// instrument updates a sim run actually performs is read back from the
+// registry snapshot, and the product is compared against the run's wall
+// time.
 //
 // `--smoke` runs reduced iteration counts for ctest registration.
 #include <cstring>
 #include <iostream>
-#include <type_traits>
 
 #include "bench_util.hpp"
 #include "obs/metrics.hpp"
@@ -27,16 +17,6 @@
 namespace {
 
 using namespace ca5g;
-
-#if !PRISM5G_OBS_ENABLED
-// The disabled-build contract: null instruments must carry no state and
-// no destructor logic, otherwise "compiles to nothing" would be a lie.
-static_assert(sizeof(obs::NullCounter) == 1 && std::is_empty_v<obs::NullCounter>);
-static_assert(sizeof(obs::NullGauge) == 1 && std::is_empty_v<obs::NullGauge>);
-static_assert(sizeof(obs::NullHistogram) == 1 && std::is_empty_v<obs::NullHistogram>);
-static_assert(sizeof(obs::NullScopedTimer) == 1 &&
-              std::is_trivially_destructible_v<obs::NullScopedTimer>);
-#endif
 
 double ns_per_op(std::size_t iters, const auto& body) {
   obs::StopWatch watch;
@@ -49,8 +29,7 @@ double ns_per_op(std::size_t iters, const auto& body) {
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   bench::banner("Observability overhead",
-                std::string("instrument micro-costs + sim-engine step tax (") +
-                    (PRISM5G_OBS_ENABLED ? "instrumented" : "PRISM5G_OBS=OFF") + " build)");
+                "instrument micro-costs + sim-engine step tax");
 
   const std::size_t iters = smoke ? 100000 : 10000000;
   CA5G_METRIC_COUNTER(bench_counter, "bench.obs_overhead_ops_total");
@@ -97,7 +76,6 @@ int main(int argc, char** argv) {
   bench_json.result("scoped_timer_ns", timer_ns);
   bench_json.result("sim_step_ns", step_ns);
 
-#if PRISM5G_OBS_ENABLED
   // Estimate the instrumentation share of the sim run: the registry
   // knows exactly how many updates the run performed. Every instrument
   // on the simulator path counts one update per call — a counter value
@@ -130,11 +108,5 @@ int main(int argc, char** argv) {
   }
   std::cout << "PASS: instrumentation share " << common::TextTable::num(share, 3)
             << "% of sim wall time (< 2% budget)\n";
-#else
-  std::cout << engine << "\n"
-            << "PRISM5G_OBS=OFF build: instrument loops above time empty loops —\n"
-            << "the macros expanded to constexpr null objects (see static_asserts),\n"
-            << "so the sim step cost here IS the zero-overhead baseline.\n";
-#endif
   return 0;
 }

@@ -128,12 +128,7 @@ std::size_t count_modes(std::span<const double> xs, std::size_t bins,
 }
 
 void RunningStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
+  max_ = n_ == 0 ? x : std::max(max_, x);
   ++n_;
   mean_ += (x - mean_) / static_cast<double>(n_);
 }

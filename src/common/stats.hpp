@@ -42,19 +42,16 @@ namespace ca5g::common {
 [[nodiscard]] std::size_t count_modes(std::span<const double> xs, std::size_t bins,
                                       double min_mass_fraction = 0.02);
 
-/// Streaming mean/min/max accumulator.
+/// Streaming mean/max accumulator.
 class RunningStats {
  public:
   void add(double x) noexcept;
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
-  [[nodiscard]] double min() const noexcept { return min_; }
   [[nodiscard]] double max() const noexcept { return max_; }
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double min_ = 0.0;
   double max_ = 0.0;
 };
 

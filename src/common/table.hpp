@@ -23,11 +23,6 @@ class TextTable {
   /// Render with padded columns and a rule under the header.
   [[nodiscard]] std::string to_string() const;
 
-  [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
-  [[nodiscard]] const std::vector<std::vector<std::string>>& rows() const noexcept {
-    return rows_;
-  }
-
   /// Convenience: format a double with fixed precision.
   [[nodiscard]] static std::string num(double v, int precision = 3);
 

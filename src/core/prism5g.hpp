@@ -48,8 +48,6 @@ class Prism5G final : public predictors::DeepPredictor {
   [[nodiscard]] std::vector<std::vector<double>> predict_per_cc(
       const traces::Window& w) const;
 
-  [[nodiscard]] const Prism5gConfig& prism_config() const noexcept { return pconfig_; }
-
  protected:
   void build(const traces::Dataset& ds, common::Rng& rng) override;
   [[nodiscard]] nn::Tensor forward_batch(std::span<const traces::Window* const> batch,

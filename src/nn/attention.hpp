@@ -26,7 +26,6 @@ class SelfAttentionEncoder final : public Module {
   [[nodiscard]] Tensor last_hidden(std::span<const Tensor> sequence) const;
 
   [[nodiscard]] std::vector<Tensor> parameters() override;
-  [[nodiscard]] std::size_t model_size() const noexcept { return model_; }
 
  private:
   std::size_t model_;

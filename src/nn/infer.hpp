@@ -189,9 +189,7 @@ struct PackedMlp {
   PackedMlp() = default;
   explicit PackedMlp(const Mlp& src);
 
-  [[nodiscard]] std::size_t out_features() const { return layers.back().out; }
-
-  /// Returns an arena buffer (rows × out_features()).
+  /// Returns an arena buffer (rows × the last layer's out).
   [[nodiscard]] const float* forward(Arena& arena, const float* x,
                                      std::size_t rows) const;
 };
@@ -221,7 +219,6 @@ struct PackedLstm {
   explicit PackedLstm(const Lstm& src);
 
   [[nodiscard]] std::size_t hidden() const { return cells.front().hidden; }
-  [[nodiscard]] std::size_t layers() const { return cells.size(); }
   [[nodiscard]] std::size_t state_floats(std::size_t rows) const {
     return cells.size() * 2 * rows * hidden();
   }

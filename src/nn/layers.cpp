@@ -19,7 +19,7 @@ float xavier_std(std::size_t fan_in, std::size_t fan_out) {
 // ---- Linear ----------------------------------------------------------------
 
 Linear::Linear(common::Rng& rng, std::size_t in_features, std::size_t out_features)
-    : in_(in_features), out_(out_features),
+    : in_(in_features),
       weight_(Tensor::randn(rng, in_features, out_features,
                             xavier_std(in_features, out_features))),
       bias_(Tensor(1, out_features, true)) {

@@ -27,9 +27,6 @@ class Linear final : public Module {
   [[nodiscard]] Tensor forward(const Tensor& x) const;
   [[nodiscard]] std::vector<Tensor> parameters() override;
 
-  [[nodiscard]] std::size_t in_features() const noexcept { return in_; }
-  [[nodiscard]] std::size_t out_features() const noexcept { return out_; }
-
   /// Read-only weight views for the inference fast path's plan compiler
   /// (nn/infer.hpp), which snapshots them into a packed layout.
   [[nodiscard]] const Tensor& weight() const noexcept { return weight_; }
@@ -37,7 +34,6 @@ class Linear final : public Module {
 
  private:
   std::size_t in_;
-  std::size_t out_;
   Tensor weight_;  ///< in × out
   Tensor bias_;    ///< 1 × out
 };

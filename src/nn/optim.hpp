@@ -27,8 +27,6 @@ class Adam {
   /// Apply one update from the accumulated gradients.
   void step();
 
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
-
  private:
   std::vector<Tensor> params_;
   std::vector<std::vector<float>> m_;

@@ -19,11 +19,8 @@
 // last ending in a recognised unit suffix, e.g. `sim.steps_total`,
 // `predictor.inference_ns`, `nn.epoch_val_rmse`.
 //
-// Compile-time switch: building with PRISM5G_OBS_ENABLED=0 (CMake option
-// -DPRISM5G_OBS=OFF) swaps the CA5G_METRIC_* / CA5G_SCOPED_TIMER macros
-// for constexpr null instruments whose methods are empty — instrumented
-// call sites compile to nothing, so perf baselines carry zero
-// observability tax (verified by bench_obs_overhead).
+// Instrumentation is always compiled in; bench_obs_overhead holds its cost
+// under 2% of a sim run (see docs/OBSERVABILITY.md).
 #pragma once
 
 #include <array>
@@ -35,10 +32,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef PRISM5G_OBS_ENABLED
-#define PRISM5G_OBS_ENABLED 1
-#endif
 
 namespace ca5g::obs {
 
@@ -84,14 +77,10 @@ class Gauge {
 
 /// Histogram bucket layout: kBucketCount log-spaced buckets spanning
 /// [lower, upper), plus one overflow bucket. The default covers 1 ns to
-/// 100 s — wide enough for per-step latencies and whole-training walls —
-/// and a Mbps-flavoured spec (0.01..1e5) suits throughput distributions.
+/// 100 s — wide enough for per-step latencies and whole-training walls.
 struct HistogramSpec {
   double lower = 1.0;    ///< first bucket upper bound ≥ lower·ratio
   double upper = 1e11;   ///< values ≥ upper land in the overflow bucket
-
-  [[nodiscard]] static HistogramSpec nanoseconds() { return {1.0, 1e11}; }
-  [[nodiscard]] static HistogramSpec mbps() { return {0.01, 1e5}; }
 };
 
 /// Fixed-bucket log-spaced histogram. observe() costs two relaxed atomic
@@ -201,22 +190,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
-// --- Null instruments (disabled-build macro targets) -------------------------
-
-/// Zero-size stand-ins the CA5G_METRIC_* macros substitute when
-/// PRISM5G_OBS_ENABLED=0: every method is a constexpr no-op, so the
-/// instrumented statements vanish entirely from codegen.
-struct NullCounter {
-  constexpr void inc(std::uint64_t = 1) const noexcept {}
-};
-struct NullGauge {
-  constexpr void set(double) const noexcept {}
-  constexpr void add(double) const noexcept {}
-};
-struct NullHistogram {
-  constexpr void observe(double) const noexcept {}
-};
-
 }  // namespace ca5g::obs
 
 // --- Instrumentation macros --------------------------------------------------
@@ -226,34 +199,11 @@ struct NullHistogram {
 //   CA5G_METRIC_COUNTER(steps, "sim.steps_total");
 //   steps.inc();
 //
-// Enabled: declares `static obs::Counter& steps = ...` (one registry
-// lookup ever, thread-safe static init). Disabled: declares a constexpr
-// NullCounter, and steps.inc() compiles away.
-#if PRISM5G_OBS_ENABLED
-
+// The first line declares `static obs::Counter& steps = ...` (one registry
+// lookup ever, thread-safe static init).
 #define CA5G_METRIC_COUNTER(var, name) \
   static ::ca5g::obs::Counter& var = ::ca5g::obs::MetricsRegistry::global().counter(name)
 #define CA5G_METRIC_GAUGE(var, name) \
   static ::ca5g::obs::Gauge& var = ::ca5g::obs::MetricsRegistry::global().gauge(name)
-#define CA5G_METRIC_HISTOGRAM(var, name)            \
-  static ::ca5g::obs::Histogram& var =              \
-      ::ca5g::obs::MetricsRegistry::global().histogram(name)
-#define CA5G_METRIC_HISTOGRAM_SPEC(var, name, spec) \
-  static ::ca5g::obs::Histogram& var =              \
-      ::ca5g::obs::MetricsRegistry::global().histogram(name, spec)
-/// Statement gate for computed updates (argument expressions included).
-#define CA5G_OBS_STMT(...) __VA_ARGS__
-
-#else
-
-#define CA5G_METRIC_COUNTER(var, name) \
-  [[maybe_unused]] constexpr ::ca5g::obs::NullCounter var {}
-#define CA5G_METRIC_GAUGE(var, name) \
-  [[maybe_unused]] constexpr ::ca5g::obs::NullGauge var {}
 #define CA5G_METRIC_HISTOGRAM(var, name) \
-  [[maybe_unused]] constexpr ::ca5g::obs::NullHistogram var {}
-#define CA5G_METRIC_HISTOGRAM_SPEC(var, name, spec) \
-  [[maybe_unused]] constexpr ::ca5g::obs::NullHistogram var {}
-#define CA5G_OBS_STMT(...)
-
-#endif
+  static ::ca5g::obs::Histogram& var = ::ca5g::obs::MetricsRegistry::global().histogram(name)

@@ -55,9 +55,6 @@ class RunReport {
   /// Append a timeline event. Thread-safe.
   void event(std::string_view kind, std::string_view detail = {});
 
-  [[nodiscard]] const std::string& run_name() const noexcept { return run_name_; }
-  [[nodiscard]] double elapsed_s() const noexcept { return watch_.elapsed_s(); }
-
   /// The summary JSON object; embeds `metrics` when non-null.
   [[nodiscard]] std::string summary_json(const MetricsSnapshot* metrics = nullptr,
                                          int indent = 2) const;

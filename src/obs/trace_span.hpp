@@ -1,13 +1,10 @@
 // RAII wall-time spans: a ScopedTimer records the nanoseconds between its
 // construction and destruction into a Histogram, surviving early returns
 // and exceptions alike. The CA5G_SCOPED_TIMER macro pairs with the
-// CA5G_METRIC_HISTOGRAM registration macro and obeys the same
-// PRISM5G_OBS_ENABLED compile-time switch: disabled builds declare an
-// empty NullScopedTimer and the timing code vanishes from codegen.
+// CA5G_METRIC_HISTOGRAM registration macro.
 //
-// StopWatch is the always-on sibling for code that needs elapsed time as
-// data (steps/s gauges, bench harnesses) rather than as telemetry; it is
-// deliberately independent of the obs switch.
+// StopWatch is the sibling for code that needs elapsed time as data
+// (steps/s gauges, bench harnesses) rather than as telemetry.
 #pragma once
 
 #include <chrono>
@@ -17,13 +14,10 @@
 
 namespace ca5g::obs {
 
-/// Monotonic elapsed-time reader. Unaffected by PRISM5G_OBS_ENABLED:
-/// callers that branch on elapsed time (not just export it) rely on it.
+/// Monotonic elapsed-time reader.
 class StopWatch {
  public:
   StopWatch() noexcept : start_(clock::now()) {}
-
-  void restart() noexcept { start_ = clock::now(); }
 
   [[nodiscard]] std::int64_t elapsed_ns() const noexcept {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - start_).count();
@@ -54,27 +48,13 @@ class ScopedTimer {
   StopWatch watch_;
 };
 
-/// Disabled-build stand-in: empty, trivially destructible, no codegen.
-/// bench_obs_overhead static_asserts these properties.
-struct NullScopedTimer {
-  constexpr explicit NullScopedTimer(NullHistogram) noexcept {}
-};
-static_assert(sizeof(NullScopedTimer) == 1);
-static_assert(std::is_trivially_destructible_v<NullScopedTimer>);
-
 }  // namespace ca5g::obs
 
 // CA5G_SCOPED_TIMER(hist): time the enclosing scope into `hist`, where
-// `hist` was declared by CA5G_METRIC_HISTOGRAM[_SPEC] above it. The
+// `hist` was declared by CA5G_METRIC_HISTOGRAM above it. The
 // variable name is uniqued per line so multiple timers can share a scope.
 #define CA5G_OBS_TIMER_CONCAT2(a, b) a##b
 #define CA5G_OBS_TIMER_CONCAT(a, b) CA5G_OBS_TIMER_CONCAT2(a, b)
 
-#if PRISM5G_OBS_ENABLED
 #define CA5G_SCOPED_TIMER(hist) \
   ::ca5g::obs::ScopedTimer CA5G_OBS_TIMER_CONCAT(ca5g_obs_timer_, __LINE__)(hist)
-#else
-#define CA5G_SCOPED_TIMER(hist) \
-  [[maybe_unused]] constexpr ::ca5g::obs::NullScopedTimer CA5G_OBS_TIMER_CONCAT( \
-      ca5g_obs_timer_, __LINE__)(hist)
-#endif

@@ -23,9 +23,4 @@ inline constexpr int kSymbolsPerSlot = 14;
 /// Table 5.3.2-1 (FR2); LTE uses the classic 5 RB/MHz rule (20 MHz→100).
 [[nodiscard]] int max_resource_blocks(Rat rat, int bandwidth_mhz, int scs_khz);
 
-/// Total subcarriers = RB * 12, convenience for efficiency computations.
-[[nodiscard]] inline int max_subcarriers(Rat rat, int bandwidth_mhz, int scs_khz) {
-  return max_resource_blocks(rat, bandwidth_mhz, scs_khz) * kSubcarriersPerRb;
-}
-
 }  // namespace ca5g::phy

@@ -171,15 +171,13 @@ void DeepPredictor::run_plan(std::span<const traces::Window* const> batch,
   nn::infer::Arena& arena = nn::infer::thread_arena();
   arena.reset();
   float* pred = arena.alloc(batch.size() * horizon_);
-  CA5G_OBS_STMT(const auto t0 = std::chrono::steady_clock::now();)
+  const auto t0 = std::chrono::steady_clock::now();
   plan_->run(batch, arena, pred);
-  CA5G_OBS_STMT(
-      const auto dt = std::chrono::steady_clock::now() - t0;
-      window_ns.observe(
-          static_cast<double>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()) /
-          static_cast<double>(batch.size()));
-      arena_bytes.set(static_cast<double>(arena.high_water_bytes()));)
+  const auto dt = std::chrono::steady_clock::now() - t0;
+  window_ns.observe(
+      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()) /
+      static_cast<double>(batch.size()));
+  arena_bytes.set(static_cast<double>(arena.high_water_bytes()));
   plan_runs.inc();
   append_clamped_rows(pred, batch.size(), horizon_, out);
 }

@@ -44,17 +44,12 @@ class LinkChannel {
   /// Advance the processes by one step computed from this link's params.
   void advance(const Step& step);
 
-  /// Advance the processes after the UE moved `moved_m` metres over
-  /// `dt_s` seconds.
-  void advance(double moved_m, double dt_s) { advance(step(params_, moved_m, dt_s)); }
-
   /// Force a correlated restart from another link's shadowing value
   /// (used to correlate intra-band CCs at the same site): the new
   /// shadowing is rho·other + sqrt(1-rho²)·own.
   void correlate_with(const LinkChannel& other, double rho);
 
   [[nodiscard]] double shadow_db() const noexcept { return shadow_db_; }
-  [[nodiscard]] double fading_db() const noexcept { return fading_db_; }
   /// Total stochastic loss contribution (positive = weaker signal).
   [[nodiscard]] double total_db() const noexcept { return shadow_db_ + fading_db_; }
 

@@ -200,14 +200,14 @@ std::vector<RrcEvent> CaManager::update(const std::vector<double>& rsrp_dbm, dou
   CA5G_METRIC_COUNTER(scell_removes, "ran.scell_remove_total");
   CA5G_METRIC_COUNTER(pcell_changes, "ran.pcell_change_total");
   CA5G_METRIC_COUNTER(rat_changes, "ran.rat_change_total");
-  CA5G_OBS_STMT(for (const auto& event : events) {
+  for (const auto& event : events) {
     switch (event.type) {
       case RrcEventType::kSCellAdd: scell_adds.inc(); break;
       case RrcEventType::kSCellRemove: scell_removes.inc(); break;
       case RrcEventType::kPCellChange: pcell_changes.inc(); break;
       case RrcEventType::kRatChange: rat_changes.inc(); break;
     }
-  })
+  }
   return events;
 }
 

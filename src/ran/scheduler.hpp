@@ -79,8 +79,6 @@ class Scheduler {
                                       const ue::UeCapability& capability, double load,
                                       common::Rng& rng) const;
 
-  [[nodiscard]] const SchedulerParams& params() const noexcept { return params_; }
-
   /// Rank (MIMO layers) selected for an effective SINR, before caps.
   [[nodiscard]] static int rank_from_sinr(double sinr_db) noexcept;
 

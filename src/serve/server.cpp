@@ -51,7 +51,7 @@ Admit PredictionServer::submit(UeId ue, const sim::TraceSample& sample) {
   }
   admitted_.fetch_add(1, std::memory_order_relaxed);
   requests.inc();
-  CA5G_OBS_STMT(queue_depth.set(static_cast<double>(queue_.size()));)
+  queue_depth.set(static_cast<double>(queue_.size()));
   return Admit::kQueued;
 }
 
@@ -120,10 +120,14 @@ void PredictionServer::worker_loop() {
   }
 }
 
-void PredictionServer::drain() const {
+bool PredictionServer::drain() const {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (completed_.load(std::memory_order_acquire) <
-         admitted_.load(std::memory_order_acquire))
+         admitted_.load(std::memory_order_acquire)) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
 }
 
 void PredictionServer::stop() {

@@ -108,7 +108,10 @@ class PredictionServer {
   Admit submit(UeId ue, const sim::TraceSample& sample);
 
   /// Block until every admitted request has been dispatched & delivered.
-  void drain() const;
+  /// Returns false if that takes longer than 30 s, far above the time any
+  /// full queue takes to clear, so a lost wake-up fails the caller
+  /// instead of hanging it.
+  bool drain() const;
 
   /// Close the queue, drain in-flight work, join the workers. Idempotent
   /// (also runs on destruction). After stop(), submit() returns kClosed.

@@ -48,7 +48,7 @@ SessionTable::PushResult SessionTable::push(UeId ue, const sim::TraceSample& sam
   if (it == shard.sessions.end()) {
     it = shard.sessions.emplace(ue, UeSession(history_, cc_slots_, tput_scale_mbps_))
              .first;
-    CA5G_OBS_STMT(sessions_gauge.add(1.0);)
+    sessions_gauge.add(1.0);
   }
   it->second.push(sample);
   return {it->second.steps_seen(), it->second.warm()};

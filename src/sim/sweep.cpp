@@ -72,7 +72,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
   const std::size_t threads =
       spec.threads == 0 ? common::default_thread_count() : spec.threads;
   result.threads_used = threads;
-  CA5G_OBS_STMT(pool_workers.set(static_cast<double>(threads));)
+  pool_workers.set(static_cast<double>(threads));
 
   const auto run_unit = [&](std::size_t i) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -90,10 +90,10 @@ SweepResult run_sweep(const SweepSpec& spec) {
 
     units_total.inc();
     pool_tasks.inc();
-    CA5G_OBS_STMT(unit_ns.observe(static_cast<double>(
+    unit_ns.observe(static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
-            .count()));)
+            .count()));
   };
 
   const auto sweep_t0 = std::chrono::steady_clock::now();
@@ -108,8 +108,8 @@ SweepResult run_sweep(const SweepSpec& spec) {
   const auto wall = std::chrono::steady_clock::now() - sweep_t0;
   result.wall_s =
       std::chrono::duration_cast<std::chrono::duration<double>>(wall).count();
-  CA5G_OBS_STMT(wall_ns.observe(static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count()));)
+  wall_ns.observe(static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count()));
 
   // Order-fixed FNV-style combine: unit order is the enumeration order,
   // never the completion order, so the fleet hash is thread-invariant.

@@ -151,7 +151,6 @@ class Dataset {
   [[nodiscard]] std::size_t horizon() const noexcept { return spec_.horizon; }
   /// Mbps value that normalizes to 1.0 (dataset max aggregate tput).
   [[nodiscard]] double tput_scale_mbps() const noexcept { return tput_scale_mbps_; }
-  [[nodiscard]] std::size_t trace_count() const noexcept { return trace_count_; }
 
   /// View of windows split into train/val/test.
   struct Split {

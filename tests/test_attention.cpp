@@ -29,7 +29,6 @@ TEST(Attention, OutputShapes) {
   ASSERT_EQ(out.size(), 6u);
   EXPECT_EQ(out.back().rows(), 3u);
   EXPECT_EQ(out.back().cols(), 8u);
-  EXPECT_EQ(enc.model_size(), 8u);
 }
 
 TEST(Attention, CausalityHolds) {

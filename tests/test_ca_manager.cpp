@@ -3,6 +3,8 @@
 // the low-band-PCell preference.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/contracts.hpp"
 #include "ran/ca_manager.hpp"
 
@@ -51,11 +53,18 @@ std::vector<double> rsrp(std::initializer_list<double> values) {
   return std::vector<double>(values);
 }
 
+/// The PCell is the first active serving cell; none out of coverage.
+std::optional<CarrierId> pcell(const CaManager& ca) {
+  const auto& active = ca.active_set();
+  if (active.empty()) return std::nullopt;
+  return active.front();
+}
+
 TEST(CaManager, InitialAttachPicksStrongest) {
   const auto dep = tiny_deployment();
   CaManager ca(dep, ca5g::phy::Rat::kNr, ue_capability(ModemModel::kX70), fast_policy());
   const auto events = ca.update(rsrp({-80, -85, -90, -95, -120}), 0.0);
-  ASSERT_EQ(ca.pcell(), CarrierId{0});
+  ASSERT_EQ(pcell(ca), CarrierId{0});
   ASSERT_FALSE(events.empty());
   EXPECT_EQ(events.front().type, RrcEventType::kPCellChange);
 }
@@ -65,11 +74,11 @@ TEST(CaManager, ScellAddRequiresTimeToTrigger) {
   CaManager ca(dep, ca5g::phy::Rat::kNr, ue_capability(ModemModel::kX70), fast_policy());
   auto meas = rsrp({-80, -85, -90, -95, -130});
   (void)ca.update(meas, 0.0);
-  EXPECT_EQ(ca.cc_count(), 1u);  // pending, not yet added
+  EXPECT_EQ(ca.active_set().size(), 1u);  // pending, not yet added
   (void)ca.update(meas, 0.1);
-  EXPECT_EQ(ca.cc_count(), 1u);
+  EXPECT_EQ(ca.active_set().size(), 1u);
   const auto events = ca.update(meas, 0.3);  // TTT (0.2 s) elapsed
-  EXPECT_EQ(ca.cc_count(), 4u);
+  EXPECT_EQ(ca.active_set().size(), 4u);
   std::size_t adds = 0;
   for (const auto& e : events)
     if (e.type == RrcEventType::kSCellAdd) ++adds;
@@ -82,7 +91,7 @@ TEST(CaManager, CapabilityCapsCcCount) {
   CaManager ca(dep, ca5g::phy::Rat::kNr, ue_capability(ModemModel::kX60), fast_policy());
   auto meas = rsrp({-80, -85, -90, -95, -130});
   for (double t = 0.0; t < 2.0; t += 0.1) (void)ca.update(meas, t);
-  EXPECT_EQ(ca.cc_count(), 2u);
+  EXPECT_EQ(ca.active_set().size(), 2u);
 }
 
 TEST(CaManager, NoSaCaMeansSingleCc) {
@@ -91,7 +100,7 @@ TEST(CaManager, NoSaCaMeansSingleCc) {
   CaManager ca(dep, ca5g::phy::Rat::kNr, ue_capability(ModemModel::kX50), fast_policy());
   auto meas = rsrp({-80, -85, -90, -95, -130});
   for (double t = 0.0; t < 2.0; t += 0.1) (void)ca.update(meas, t);
-  EXPECT_EQ(ca.cc_count(), 1u);
+  EXPECT_EQ(ca.active_set().size(), 1u);
 }
 
 TEST(CaManager, ScellRemovedAfterFade) {
@@ -99,13 +108,13 @@ TEST(CaManager, ScellRemovedAfterFade) {
   CaManager ca(dep, ca5g::phy::Rat::kNr, ue_capability(ModemModel::kX70), fast_policy());
   auto strong = rsrp({-80, -85, -90, -95, -130});
   for (double t = 0.0; t < 1.0; t += 0.1) (void)ca.update(strong, t);
-  ASSERT_EQ(ca.cc_count(), 4u);
+  ASSERT_EQ(ca.active_set().size(), 4u);
   // The 40 MHz n41 SCell (id 1) fades below the removal threshold.
   auto faded = rsrp({-80, -110, -90, -95, -130});
   (void)ca.update(faded, 1.0);
-  EXPECT_EQ(ca.cc_count(), 4u);  // TTT pending
+  EXPECT_EQ(ca.active_set().size(), 4u);  // TTT pending
   const auto events = ca.update(faded, 1.3);
-  EXPECT_EQ(ca.cc_count(), 3u);
+  EXPECT_EQ(ca.active_set().size(), 3u);
   ASSERT_FALSE(events.empty());
   EXPECT_EQ(events.front().type, RrcEventType::kSCellRemove);
   EXPECT_EQ(events.front().carrier, CarrierId{1});
@@ -115,17 +124,17 @@ TEST(CaManager, HandoverNeedsHysteresisAndTtt) {
   const auto dep = tiny_deployment();
   CaManager ca(dep, ca5g::phy::Rat::kNr, ue_capability(ModemModel::kX70), fast_policy());
   (void)ca.update(rsrp({-80, -130, -130, -130, -90}), 0.0);
-  ASSERT_EQ(ca.pcell(), CarrierId{0});
+  ASSERT_EQ(pcell(ca), CarrierId{0});
   // Candidate only 1 dB better: below hysteresis → no handover ever.
   auto slightly_better = rsrp({-80, -130, -130, -130, -79});
   for (double t = 0.1; t < 2.0; t += 0.1) (void)ca.update(slightly_better, t);
-  EXPECT_EQ(ca.pcell(), CarrierId{0});
+  EXPECT_EQ(pcell(ca), CarrierId{0});
   // 6 dB better: handover after TTT.
   auto much_better = rsrp({-80, -130, -130, -130, -74});
   (void)ca.update(much_better, 2.0);
-  EXPECT_EQ(ca.pcell(), CarrierId{0});
+  EXPECT_EQ(pcell(ca), CarrierId{0});
   (void)ca.update(much_better, 2.3);
-  EXPECT_EQ(ca.pcell(), CarrierId{4});
+  EXPECT_EQ(pcell(ca), CarrierId{4});
 }
 
 TEST(CaManager, HandoverDropsScells) {
@@ -133,14 +142,14 @@ TEST(CaManager, HandoverDropsScells) {
   CaManager ca(dep, ca5g::phy::Rat::kNr, ue_capability(ModemModel::kX70), fast_policy());
   auto strong = rsrp({-80, -85, -90, -95, -130});
   for (double t = 0.0; t < 1.0; t += 0.1) (void)ca.update(strong, t);
-  ASSERT_EQ(ca.cc_count(), 4u);
+  ASSERT_EQ(ca.active_set().size(), 4u);
   auto neighbor_strong = rsrp({-100, -105, -110, -112, -70});
   std::vector<RrcEvent> all_events;
   for (double t = 1.0; t < 2.0; t += 0.1) {
     auto e = ca.update(neighbor_strong, t);
     all_events.insert(all_events.end(), e.begin(), e.end());
   }
-  EXPECT_EQ(ca.pcell(), CarrierId{4});
+  EXPECT_EQ(pcell(ca), CarrierId{4});
   std::size_t removals = 0;
   for (const auto& e : all_events)
     if (e.type == RrcEventType::kSCellRemove) ++removals;
@@ -154,7 +163,7 @@ TEST(CaManager, CoSitedConstraintBlocksRemoteScells) {
   // co-sited, so never aggregated.
   auto meas = rsrp({-80, -120, -120, -120, -82});
   for (double t = 0.0; t < 2.0; t += 0.1) (void)ca.update(meas, t);
-  EXPECT_EQ(ca.cc_count(), 1u);
+  EXPECT_EQ(ca.active_set().size(), 1u);
 }
 
 TEST(CaManager, LowBandPreferenceSelectsN71Pcell) {
@@ -165,7 +174,7 @@ TEST(CaManager, LowBandPreferenceSelectsN71Pcell) {
   // Indoor-like condition: the mid-band carriers fall below the
   // capacity-layer floor; the weaker-but-viable n71 (id 3) anchors.
   (void)ca.update(rsrp({-103, -130, -130, -95, -130}), 0.0);
-  EXPECT_EQ(ca.pcell(), CarrierId{3});
+  EXPECT_EQ(pcell(ca), CarrierId{3});
 }
 
 TEST(CaManager, CapacityLayerPriorityBeatsStrongerLowBand) {
@@ -173,7 +182,7 @@ TEST(CaManager, CapacityLayerPriorityBeatsStrongerLowBand) {
   CaManager ca(dep, ca5g::phy::Rat::kNr, ue_capability(ModemModel::kX70), fast_policy());
   // n71 is 15 dB stronger, but the viable n41 capacity layer anchors.
   (void)ca.update(rsrp({-95, -130, -130, -80, -130}), 0.0);
-  EXPECT_EQ(ca.pcell(), CarrierId{0});
+  EXPECT_EQ(pcell(ca), CarrierId{0});
 }
 
 TEST(CaManager, WiderCarrierPreferredAsPcell) {
@@ -182,7 +191,7 @@ TEST(CaManager, WiderCarrierPreferredAsPcell) {
   // The 40 MHz n41 (id 1) is 2 dB stronger, but the 100 MHz n41 (id 0)
   // wins PCell thanks to the bandwidth bonus.
   (void)ca.update(rsrp({-84, -82, -130, -130, -130}), 0.0);
-  EXPECT_EQ(ca.pcell(), CarrierId{0});
+  EXPECT_EQ(pcell(ca), CarrierId{0});
 }
 
 TEST(CaManager, OutOfCoverageClearsEverything) {
@@ -190,9 +199,9 @@ TEST(CaManager, OutOfCoverageClearsEverything) {
   CaManager ca(dep, ca5g::phy::Rat::kNr, ue_capability(ModemModel::kX70), fast_policy());
   auto strong = rsrp({-80, -85, -90, -95, -130});
   for (double t = 0.0; t < 1.0; t += 0.1) (void)ca.update(strong, t);
-  ASSERT_EQ(ca.cc_count(), 4u);
+  ASSERT_EQ(ca.active_set().size(), 4u);
   const auto events = ca.update(rsrp({-130, -130, -130, -130, -130}), 1.0);
-  EXPECT_EQ(ca.cc_count(), 0u);
+  EXPECT_EQ(ca.active_set().size(), 0u);
   bool saw_rat_change = false;
   for (const auto& e : events)
     if (e.type == RrcEventType::kRatChange) saw_rat_change = true;

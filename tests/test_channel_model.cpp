@@ -20,7 +20,7 @@ TEST(LinkChannel, ShadowingIsStationary) {
   LinkChannel link(Rng(1), {});
   std::vector<double> samples;
   for (int i = 0; i < 20000; ++i) {
-    link.advance(1.0, 0.01);
+    link.advance(LinkChannel::step({}, 1.0, 0.01));
     samples.push_back(link.shadow_db());
   }
   EXPECT_NEAR(ca5g::common::mean(samples), 0.0, 0.8);
@@ -32,10 +32,11 @@ TEST(LinkChannel, ShadowingCorrelationDecaysWithDistance) {
   // moves than for large moves (Gudmundson model).
   auto lag1_corr = [](double step_m) {
     LinkChannel link(Rng(2), {});
+    const auto step = LinkChannel::step({}, step_m, 0.01);
     std::vector<double> a, b;
     double prev = link.shadow_db();
     for (int i = 0; i < 8000; ++i) {
-      link.advance(step_m, 0.01);
+      link.advance(step);
       a.push_back(prev);
       b.push_back(link.shadow_db());
       prev = link.shadow_db();
@@ -47,13 +48,17 @@ TEST(LinkChannel, ShadowingCorrelationDecaysWithDistance) {
 }
 
 TEST(LinkChannel, StationaryUeStillSeesFading) {
+  // Without movement the shadowing is frozen, so every change in the
+  // total is fast fading.
   LinkChannel link(Rng(3), {});
-  std::vector<double> fading;
+  const double shadow = link.shadow_db();
+  std::vector<double> total;
   for (int i = 0; i < 5000; ++i) {
-    link.advance(0.0, 0.01);
-    fading.push_back(link.fading_db());
+    link.advance(LinkChannel::step({}, 0.0, 0.01));
+    ASSERT_EQ(link.shadow_db(), shadow);
+    total.push_back(link.total_db());
   }
-  EXPECT_GT(ca5g::common::stddev(fading), 0.5);
+  EXPECT_GT(ca5g::common::stddev(total), 0.5);
 }
 
 TEST(LinkChannel, CorrelateWithPullsTowardsAnchor) {

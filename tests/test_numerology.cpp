@@ -46,10 +46,6 @@ TEST(Numerology, UnknownCombinationThrows) {
   EXPECT_THROW((void)max_resource_blocks(Rat::kNr, 37, 30), ca5g::common::CheckError);
 }
 
-TEST(Numerology, SubcarrierCount) {
-  EXPECT_EQ(max_subcarriers(Rat::kNr, 100, 30), 273 * 12);
-}
-
 // Property: more bandwidth at the same SCS never means fewer RBs.
 class RbMonotonicity : public ::testing::TestWithParam<int> {};
 

@@ -285,7 +285,7 @@ TEST(PredictionServer, WarmupRejectionUntilWindowFull) {
   for (std::size_t i = 0; i < 9; ++i)
     EXPECT_EQ(server.submit(1, trace.samples[i]), serve::Admit::kWarmingUp);
   EXPECT_EQ(server.submit(1, trace.samples[9]), serve::Admit::kQueued);
-  server.drain();
+  ASSERT_TRUE(server.drain());
   ASSERT_EQ(sink.wait_for(1), 1u);
   const auto preds = sink.snapshot();
   EXPECT_TRUE(preds[0].ok);
@@ -311,7 +311,7 @@ TEST(PredictionServer, ServedWindowTracksTheStream) {
   for (std::size_t i = 0; i < 40; ++i) {
     if (server.submit(5, trace.samples[i]) != serve::Admit::kQueued) continue;
     ++admitted;
-    server.drain();
+    ASSERT_TRUE(server.drain());
     ASSERT_EQ(sink.wait_for(admitted), admitted);
     const auto p = sink.snapshot().back();
     ASSERT_TRUE(p.ok);
@@ -344,7 +344,7 @@ TEST(PredictionServer, QueueFullSheds) {
   }
   EXPECT_GT(shed, 0u) << "a wedged 2-slot queue must shed a 200-request burst";
   EXPECT_EQ(queued.size() + shed + 9u, 200u);  // 9 warm-up samples
-  server.drain();  // the admitted remainder still completes
+  ASSERT_TRUE(server.drain());  // the admitted remainder still completes
 
   // Every queued request is delivered exactly once; shed ones never are.
   auto preds = sink.snapshot();
@@ -357,7 +357,6 @@ TEST(PredictionServer, QueueFullSheds) {
   }
 }
 
-#if PRISM5G_OBS_ENABLED
 TEST(PredictionServer, RegistersEveryListedMetric) {
   // Read baselines from a snapshot: looking a counter up by name would
   // register it and hide a name the server never uses.
@@ -388,7 +387,7 @@ TEST(PredictionServer, RegistersEveryListedMetric) {
         }
       }
     }
-    server.drain();
+    ASSERT_TRUE(server.drain());
   }
   ASSERT_EQ(sink.snapshot().size(), queued);
   EXPECT_EQ(warmup, 18u);
@@ -403,7 +402,6 @@ TEST(PredictionServer, RegistersEveryListedMetric) {
   EXPECT_EQ(counter("serve.shed_total") - shed0, shed);
   EXPECT_EQ(counter("serve.completed_total") - completed0, queued);
 }
-#endif
 
 TEST(PredictionServer, HotSwapMidStream) {
   const auto trace = test::synthetic_trace(200);
@@ -415,14 +413,14 @@ TEST(PredictionServer, HotSwapMidStream) {
   std::size_t admitted = 0;
   for (std::size_t i = 0; i < 50; ++i)
     if (server.submit(3, trace.samples[i]) == serve::Admit::kQueued) ++admitted;
-  server.drain();
+  ASSERT_TRUE(server.drain());
 
   // Swap under the same name while the server keeps streaming.
   const auto v_new = registry.install("prod", std::make_shared<ConstPredictor>(0.75));
   ASSERT_GT(v_new, v_old);
   for (std::size_t i = 50; i < 100; ++i)
     if (server.submit(3, trace.samples[i]) == serve::Admit::kQueued) ++admitted;
-  server.drain();
+  ASSERT_TRUE(server.drain());
   ASSERT_EQ(sink.wait_for(admitted), admitted);
 
   const auto preds = sink.snapshot();

@@ -431,14 +431,12 @@ void lint_metric_names(Linter& lint, const std::vector<std::string>& names) {
   for (const auto& name : names)
     lint.expect(obs::is_valid_metric_name(name),
                 "metric name violates the layer.noun_unit convention: " + name);
-#if PRISM5G_OBS_ENABLED
   // The earlier passes exercised instrumented code (cqi_from_sinr,
   // mcs_from_cqi, transport_block_size, the trace CSV round trip), so an
   // empty registry means the instrumentation macros stopped registering.
   lint.expect(!names.empty(),
               "instrumented code paths registered no metrics — the "
               "CA5G_METRIC_* macros are not reaching the registry");
-#endif
 }
 
 /// The serving layer declares its full metric surface up front

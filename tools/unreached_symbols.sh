@@ -7,11 +7,16 @@
 # Tests do not count: a function only a test calls is not shipped.
 #
 # Recipe: build the shipped binaries at -O0 -fno-inline (so every call keeps
-# its callee) with -ffunction-sections -fdata-sections, link them with
-# -Wl,--gc-sections (so the linker drops every function nothing calls), take
-# the external text symbols (nm type T) of the src/ libraries and subtract
-# every symbol some binary kept. NDEBUG is defined as in the default build,
-# so code reached only from CA5G_DCHECKs does not count either.
+# its callee) with -fkeep-inline-functions (so every inline member defined
+# in a header is emitted too) and -ffunction-sections -fdata-sections, link
+# them with -Wl,--gc-sections (so the linker drops every function nothing
+# calls), take the external (nm type T) and inline (type W) functions of the
+# src/ libraries and subtract every symbol (T, t, W or w) some binary kept.
+# Only names in the ca5g:: namespace count, which leaves out the std::
+# template instances the libraries emit; constructors and destructors are
+# left out too, since an implicit one is emitted wherever its class is
+# used. NDEBUG is defined as in the default build, so code reached only
+# from CA5G_DCHECKs does not count either.
 #
 # What is left must be on tools/unreached_allowlist.txt, one demangled
 # signature per line followed by " # <reason>". The script prints every
@@ -30,7 +35,7 @@ cd "$(dirname "$0")/.."
 JOBS=${JOBS:-$(nproc)}
 BUILD_DIR=${BUILD_DIR:-build-unreached}
 ALLOWLIST=tools/unreached_allowlist.txt
-FLAGS="-O0 -fno-inline -ffunction-sections -fdata-sections -DNDEBUG"
+FLAGS="-O0 -fno-inline -fkeep-inline-functions -ffunction-sections -fdata-sections -DNDEBUG"
 
 run() { echo "+ $*" >&2; "$@"; }
 
@@ -59,12 +64,17 @@ echo "unreached_symbols.sh: ${#LIBS[@]} libraries, ${#BINS[@]} shipped binaries"
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
-nm -g --defined-only "${LIBS[@]}" 2>/dev/null | awk '$2 == "T" { print $3 }' |
+nm -g --defined-only "${LIBS[@]}" 2>/dev/null | awk '$2 == "T" || $2 == "W" { print $3 }' |
   sort -u >"$TMP/defined"
 for bin in "${BINS[@]}"; do
-  nm --defined-only "$bin" | awk '$2 == "T" || $2 == "t" { print $3 }'
+  nm --defined-only "$bin" | awk '$2 ~ /^[TtWw]$/ { print $3 }'
 done | sort -u >"$TMP/kept"
-comm -23 "$TMP/defined" "$TMP/kept" | c++filt | sort -u >"$TMP/unreached"
+# Keep ca5g:: names, minus constructors and destructors: they demangle to
+# "...::Name::Name(" or "...::Name::~Name(" (class template arguments, if
+# any, after the first Name).
+comm -23 "$TMP/defined" "$TMP/kept" | c++filt |
+  sed -nE '/^ca5g::/{/(^|::)([A-Za-z_][A-Za-z0-9_]*)(<.*>)?::~?\2\(/!p}' |
+  sort -u >"$TMP/unreached"
 
 # Allowlist entries: "<demangled signature> # <reason>"; blank lines and
 # lines starting with '#' are comments.
