@@ -89,8 +89,6 @@ std::unique_ptr<predictors::Predictor> make_predictor(const std::string& name) {
   if (name == "LSTM") return std::make_unique<predictors::LstmPredictor>();
   if (name == "TCN") return std::make_unique<predictors::TcnPredictor>();
   if (name == "Lumos5G") return std::make_unique<predictors::Lumos5gPredictor>();
-  if (name == "GBDT") return std::make_unique<predictors::GbdtPredictor>();
-  if (name == "RF") return std::make_unique<predictors::RandomForestPredictor>();
   if (name == "Prism5G") return std::make_unique<core::Prism5G>();
   if (name == "Prism5G-nostate") {
     core::Prism5gConfig config;

@@ -12,7 +12,6 @@
 #include "core/prism5g.hpp"
 #include "predictors/deep.hpp"
 #include "predictors/naive.hpp"
-#include "predictors/trees.hpp"
 #include "sim/engine.hpp"
 #include "traces/dataset.hpp"
 
@@ -64,8 +63,9 @@ struct GenerationConfig {
                                               const GenerationConfig& config);
 
 /// Model zoo: construct a predictor by its Table 4 column name
-/// ("Prophet", "LSTM", "TCN", "Lumos5G", "Prism5G", "GBDT", "RF",
-/// "HarmonicMean", "Prism5G-nostate", "Prism5G-nofusion").
+/// ("Prophet", "LSTM", "TCN", "Lumos5G", "Prism5G"), the "HarmonicMean"
+/// baseline of the QoE study, or a Table 13 ablation ("Prism5G-nostate",
+/// "Prism5G-nofusion"). Any other name is a CheckError.
 [[nodiscard]] std::unique_ptr<predictors::Predictor> make_predictor(
     const std::string& name);
 

@@ -39,23 +39,22 @@ enum CcFeature : std::size_t {
   kFeatTput,
 };
 
-/// Values the flat baselines consume per history step: every CC's
-/// features, the globals and the aggregate.
+/// Values per history step ahead of the mask: every CC's features, the
+/// globals and the aggregate.
 [[nodiscard]] constexpr std::size_t flat_dim(std::size_t cc_slots) noexcept {
   return cc_slots * kCcFeatureDim + kGlobalFeatureDim + 1;
 }
-/// Values per history row of a Window: the flat part, then the mask.
+/// Values per history row of a Window: the flat_dim values, then the mask.
 [[nodiscard]] constexpr std::size_t step_dim(std::size_t cc_slots) noexcept {
   return flat_dim(cc_slots) + cc_slots;
 }
 
 /// One training window: T history steps and H future (target) steps,
 /// stored contiguously. Each history row is
-///   [C×kCcFeatureDim CC features | kGlobalFeatureDim globals | aggregate | C mask],
-/// so flat(t) is a prefix of row t. The mask is the paper's RRC-derived
-/// binary activation mask I. It keeps its own lane instead of aliasing
-/// kFeatActive, so perturbing the "active" feature column leaves
-/// Prism5G's gate untouched.
+///   [C×kCcFeatureDim CC features | kGlobalFeatureDim globals | aggregate | C mask].
+/// The mask is the paper's RRC-derived binary activation mask I. It keeps
+/// its own lane instead of aliasing kFeatActive, so perturbing the
+/// "active" feature column leaves Prism5G's gate untouched.
 struct Window {
   std::size_t cc_slots = 0;
   /// [T][step_dim(cc_slots)] normalized history rows, in float: the
@@ -94,9 +93,6 @@ struct Window {
   }
   [[nodiscard]] float& agg(std::size_t t) noexcept {
     return steps[at(t, cc_slots * kCcFeatureDim + kGlobalFeatureDim)];
-  }
-  [[nodiscard]] std::span<const float> flat(std::size_t t) const noexcept {
-    return {steps.data() + at(t, 0), flat_dim(cc_slots)};
   }
   [[nodiscard]] double cc_target_at(std::size_t h, std::size_t c) const noexcept {
     return cc_target[h * cc_slots + c];

@@ -93,17 +93,17 @@ TEST(Dataset, CcTargetsSumToAggregateTarget) {
 TEST(Dataset, FlattenStepDimension) {
   const auto ds = traces::Dataset::from_traces(make_traces(1, 5.0), {});
   const auto& w = ds.windows().front();
-  const auto flat = w.flat(0);
-  EXPECT_EQ(flat.size(), traces::flat_dim(ds.cc_slots()));
   EXPECT_EQ(traces::flat_dim(ds.cc_slots()),
             4 * traces::kCcFeatureDim + traces::kGlobalFeatureDim + 1);
-  // Flat order: every CC's features, then the globals, then the aggregate.
+  EXPECT_EQ(w.steps.size(), w.history() * traces::step_dim(ds.cc_slots()));
+  // Row order: every CC's features, then the globals, then the aggregate.
+  const float* row = w.steps.data() + traces::step_dim(ds.cc_slots());  // step 1
   for (std::size_t c = 0; c < 4; ++c)
     for (std::size_t f = 0; f < traces::kCcFeatureDim; ++f)
-      EXPECT_EQ(flat[c * traces::kCcFeatureDim + f], w.cc(0, c)[f]);
+      EXPECT_EQ(row[c * traces::kCcFeatureDim + f], w.cc(1, c)[f]);
   for (std::size_t g = 0; g < traces::kGlobalFeatureDim; ++g)
-    EXPECT_EQ(flat[4 * traces::kCcFeatureDim + g], w.global(0, g));
-  EXPECT_EQ(flat.back(), w.agg(0));
+    EXPECT_EQ(row[4 * traces::kCcFeatureDim + g], w.global(1, g));
+  EXPECT_EQ(row[traces::flat_dim(ds.cc_slots()) - 1], w.agg(1));
 }
 
 TEST(Dataset, RandomSplitFractionsAndDisjointness) {

@@ -59,8 +59,8 @@ TEST(Pipeline, TracesDifferAcrossSeedsWithinDataset) {
 
 TEST(Pipeline, ModelZooConstructsEveryName) {
   for (const char* name :
-       {"Prophet", "HarmonicMean", "LSTM", "TCN", "Lumos5G", "GBDT", "RF",
-        "Prism5G", "Prism5G-nostate", "Prism5G-nofusion"}) {
+       {"Prophet", "HarmonicMean", "LSTM", "TCN", "Lumos5G", "Prism5G", "Prism5G-nostate",
+        "Prism5G-nofusion"}) {
     const auto model = make_predictor(name);
     ASSERT_NE(model, nullptr) << name;
   }

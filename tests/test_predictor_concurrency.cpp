@@ -4,7 +4,7 @@
 // state. These tests hammer a shared instance from 4 threads and check
 // every result against a single-threaded reference — run them under
 // -DPRISM5G_SANITIZE=thread and TSan will flag any data race in the
-// tensor graph, tree ensembles, or predictor internals.
+// tensor graph or predictor internals.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,7 +15,6 @@
 #include "core/prism5g.hpp"
 #include "predictors/deep.hpp"
 #include "predictors/naive.hpp"
-#include "predictors/trees.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -72,17 +71,6 @@ TEST(PredictorConcurrency, HarmonicMeanSharedInstance) {
   common::Rng rng(11);
   const auto split = ds.random_split(0.5, 0.2, rng);
   HarmonicMeanPredictor model;
-  model.fit(ds, split.train, split.val);
-  expect_concurrent_predictions_match(model, split);
-}
-
-TEST(PredictorConcurrency, GbdtSharedInstance) {
-  const auto ds = test::synthetic_dataset(2, 260);
-  common::Rng rng(12);
-  const auto split = ds.random_split(0.5, 0.2, rng);
-  GbdtPredictor::Config config;
-  config.num_trees = 8;
-  GbdtPredictor model(config);
   model.fit(ds, split.train, split.val);
   expect_concurrent_predictions_match(model, split);
 }

@@ -196,7 +196,9 @@ int cmd_census(int argc, char** argv) {
     for (const auto& cc : s.ccs) {
       if (!cc.active) continue;
       if (!combo.empty()) combo += "+";
-      combo += std::string(phy::band_info(cc.band).name);
+      // The channel letter tells intra-band CA (n41-a+n41-b) from inter-band.
+      combo += std::string(phy::band_info(cc.band).name) + "-" +
+               static_cast<char>('a' + cc.channel_index);
     }
     if (!combo.empty()) ++combos[combo];
   }
@@ -224,6 +226,9 @@ int cmd_evaluate(int argc, char** argv) {
   report.meta("mobility", get(args, "mobility", "driving"));
   report.meta("scale", eval::time_scale_name(scale));
   report.meta("seed", std::stod(get(args, "seed", "42")));
+  // Construct the model first: an unknown --model fails before any simulation.
+  auto model = eval::make_predictor(get(args, "model", "Prism5G"));
+  report.meta("model", model->name());
 
   std::cout << "Generating " << id.label() << " dataset at "
             << eval::time_scale_name(scale) << "...\n";
@@ -234,9 +239,6 @@ int cmd_evaluate(int argc, char** argv) {
   common::Rng rng(std::stoull(get(args, "seed", "42")));
   const auto split = ds.random_split(0.5, 0.2, rng);
 
-  const auto model_name = get(args, "model", "Prism5G");
-  auto model = eval::make_predictor(model_name);
-  report.meta("model", model->name());
   std::cout << "Training " << model->name() << " on " << split.train.size()
             << " windows...\n";
   report.event("phase", "train-and-evaluate");
@@ -254,6 +256,8 @@ int cmd_qoe(int argc, char** argv) {
   const auto app = get(args, "app", "vivo");
   const auto model_name = get(args, "model", "Prism5G");
   const bool abr = app == "abr";
+  // Construct the model first: an unknown --model fails before any simulation.
+  std::shared_ptr<predictors::Predictor> model{eval::make_predictor(model_name)};
 
   obs::RunReport report("qoe");
   report.meta("app", app);
@@ -271,7 +275,6 @@ int cmd_qoe(int argc, char** argv) {
 
   std::cout << "Training " << model_name << "...\n";
   report.event("phase", "train");
-  std::shared_ptr<predictors::Predictor> model{eval::make_predictor(model_name)};
   model->fit(ds, split.train, split.val);
   report.event("phase", "session");
 
@@ -443,7 +446,8 @@ void usage() {
             << "            [--rat 4g|5g] [--step S] [--seed N] [--out trace.csv]\n"
             << "  census    <trace.csv>\n"
             << "  evaluate  --op .. --mobility .. --scale short|long\n"
-            << "            --model Prophet|LSTM|TCN|Lumos5G|GBDT|RF|Prism5G\n"
+            << "            --model Prophet|HarmonicMean|LSTM|TCN|Lumos5G|Prism5G|\n"
+            << "                    Prism5G-nostate|Prism5G-nofusion\n"
             << "            [--seed N] [--threads N]\n"
             << "  qoe       --app vivo|abr --model <name> [--seed N] [--threads N]\n"
             << "  quickstart [--seed N] [--threads N]\n"

@@ -146,7 +146,7 @@ done
 run ./build-ci-native/bench/bench_infer_fastpath --equality-only
 
 # --- 1f. Unreached-symbol probe ---------------------------------------------
-# Builds the shipped binaries (tools, benches, examples, perfbench) at -O0
+# Builds the shipped binaries (tools, benches, perfbench) at -O0
 # with -fno-inline and -fkeep-inline-functions and links them with
 # --gc-sections, then lists every ca5g:: function of the src/ libraries,
 # out-of-line or inline in a header, that none of them keeps (constructors

@@ -27,7 +27,7 @@ fi
 
 # First-party translation units only; the compile database also covers
 # GTest/benchmark-internal TUs we do not want to lint.
-mapfile -t SOURCES < <(find src tools tests bench examples -name '*.cpp' | sort)
+mapfile -t SOURCES < <(find src tools tests bench -name '*.cpp' | sort)
 
 if command -v run-clang-tidy >/dev/null 2>&1; then
   run-clang-tidy -p "$BUILD_DIR" -quiet "$@" "${SOURCES[@]}"

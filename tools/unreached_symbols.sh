@@ -2,8 +2,8 @@
 # Lists library functions that no shipped binary reaches, so dead code is
 # found and stays deleted.
 #
-# The shipped binaries are every executable under tools/, bench/ and
-# examples/ of the main build, plus perfbench (built from perfbench/).
+# The shipped binaries are every executable under tools/ and bench/ of the
+# main build, plus perfbench (built from perfbench/).
 # Tests do not count: a function only a test calls is not shipped.
 #
 # Recipe: build the shipped binaries at -O0 -fno-inline (so every call keeps
@@ -48,9 +48,9 @@ configure() {  # <source dir> <build dir>
 configure . "$BUILD_DIR/main"
 configure perfbench "$BUILD_DIR/perfbench"
 
-# Every executable target under tools/, bench/ and examples/.
+# Every executable target under tools/ and bench/.
 mapfile -t SHIPPED < <(ninja -C "$BUILD_DIR/main" -t targets all |
-  sed -n 's/^\(\(tools\|bench\|examples\)\/[^:]*\): CXX_EXECUTABLE_LINKER.*/\1/p' | sort -u)
+  sed -n 's/^\(\(tools\|bench\)\/[^:]*\): CXX_EXECUTABLE_LINKER.*/\1/p' | sort -u)
 if ((${#SHIPPED[@]} == 0)); then
   echo "unreached_symbols.sh: found no shipped executables" >&2
   exit 2
