@@ -223,13 +223,10 @@ Prism5G::Prism5G(predictors::TrainConfig train, Prism5gConfig config)
     : predictors::DeepPredictor(train), pconfig_(config) {}
 
 std::string Prism5G::name() const {
-  std::string base = pconfig_.encoder == EncoderKind::kTransformer
-                         ? "Prism5G(transformer)"
-                         : "Prism5G";
-  if (!pconfig_.use_state && !pconfig_.use_fusion) return base + "(-state,-fusion)";
-  if (!pconfig_.use_state) return base + "(no-state)";
-  if (!pconfig_.use_fusion) return base + "(no-fusion)";
-  return base;
+  if (!pconfig_.use_state && !pconfig_.use_fusion) return "Prism5G(-state,-fusion)";
+  if (!pconfig_.use_state) return "Prism5G(no-state)";
+  if (!pconfig_.use_fusion) return "Prism5G(no-fusion)";
+  return "Prism5G";
 }
 
 void Prism5G::build(const traces::Dataset& ds, common::Rng& rng) {
@@ -237,15 +234,7 @@ void Prism5G::build(const traces::Dataset& ds, common::Rng& rng) {
   const std::size_t hidden = config_.hidden;
 
   // One encoder instance == shared weights across all CC slots.
-  if (pconfig_.encoder == EncoderKind::kTransformer) {
-    attention_ = std::make_unique<nn::SelfAttentionEncoder>(rng, kEncoderInputDim,
-                                                            hidden);
-    encoder_.reset();
-  } else {
-    encoder_ = std::make_unique<nn::Lstm>(rng, kEncoderInputDim, hidden,
-                                          config_.layers);
-    attention_.reset();
-  }
+  encoder_ = std::make_unique<nn::Lstm>(rng, kEncoderInputDim, hidden, config_.layers);
   mask_embed_ = std::make_unique<nn::Linear>(rng, cc_slots_ * ds.history(),
                                              pconfig_.embed_dim);
   const std::size_t fusion_in = cc_slots_ * hidden +
@@ -286,7 +275,7 @@ std::vector<nn::Tensor> Prism5G::forward_per_cc(
   std::vector<nn::Tensor> hidden_states;
   hidden_states.reserve(cc_slots_);
   for (std::size_t c = 0; c < cc_slots_; ++c)
-    hidden_states.push_back(encode(sequences[c]));
+    hidden_states.push_back(encoder_->last_hidden(sequences[c]));
 
   // 2+3. Mask embedding and fusion over [h_1..h_C, E].
   nn::Tensor fused;
@@ -351,24 +340,15 @@ std::vector<std::vector<double>> Prism5G::predict_per_cc(const traces::Window& w
   return out;
 }
 
-nn::Tensor Prism5G::encode(std::span<const nn::Tensor> sequence) const {
-  return attention_ ? attention_->last_hidden(sequence)
-                    : encoder_->last_hidden(sequence);
-}
-
 std::unique_ptr<predictors::DeepPredictor::InferencePlan> Prism5G::compile_plan()
     const {
-  // The transformer encoder stays on the autograd path: attention's
-  // softmax/rowwise-dot chain is off the serving hot loop (the paper
-  // deploys the LSTM encoder; §9 lists transformers as future work).
-  if (attention_ || !encoder_) return nullptr;
   return std::make_unique<Prism5gPlan>(*encoder_, *mask_embed_, *fusion_, *head_,
                                        pconfig_.use_state, pconfig_.use_fusion,
                                        cc_slots_, horizon_);
 }
 
 std::vector<nn::Tensor> Prism5G::trainable_parameters() {
-  auto params = attention_ ? attention_->parameters() : encoder_->parameters();
+  auto params = encoder_->parameters();
   for (auto& p : mask_embed_->parameters()) params.push_back(p);
   for (auto& p : fusion_->parameters()) params.push_back(p);
   for (auto& p : head_->parameters()) params.push_back(p);

@@ -18,14 +18,9 @@
 
 #include <memory>
 
-#include "nn/attention.hpp"
 #include "predictors/deep.hpp"
 
 namespace ca5g::core {
-
-/// Which sequence encoder the per-CC modules use. The paper uses LSTM
-/// and lists transformers as future work; both are supported (§9).
-enum class EncoderKind : std::uint8_t { kLstm, kTransformer };
 
 /// Prism5G configuration beyond the shared training hyper-parameters.
 struct Prism5gConfig {
@@ -33,7 +28,6 @@ struct Prism5gConfig {
   bool use_fusion = true;       ///< fusion-learning module
   std::size_t embed_dim = 16;   ///< dense mask-embedding width
   float per_cc_loss_weight = 0.5f;  ///< auxiliary per-CC supervision weight
-  EncoderKind encoder = EncoderKind::kLstm;
 };
 
 class Prism5G final : public predictors::DeepPredictor {
@@ -55,9 +49,8 @@ class Prism5G final : public predictors::DeepPredictor {
   [[nodiscard]] std::vector<nn::Tensor> trainable_parameters() override;
   [[nodiscard]] nn::Tensor compute_loss(
       std::span<const traces::Window* const> batch) override;
-  /// Compiled plan covering the LSTM encoder and both ablations
-  /// (no-state / no-fusion); the transformer encoder variant returns
-  /// nullptr and keeps the autograd path (see docs/SERVING.md).
+  /// Compiled plan covering the full model and both ablations
+  /// (no-state / no-fusion).
   [[nodiscard]] std::unique_ptr<InferencePlan> compile_plan() const override;
 
  private:
@@ -77,11 +70,7 @@ class Prism5G final : public predictors::DeepPredictor {
   Prism5gConfig pconfig_;
   std::size_t cc_slots_ = 4;
 
-  /// Encode one CC's sequence with whichever encoder is configured.
-  [[nodiscard]] nn::Tensor encode(std::span<const nn::Tensor> sequence) const;
-
   std::unique_ptr<nn::Lstm> encoder_;      ///< weights shared across CCs
-  std::unique_ptr<nn::SelfAttentionEncoder> attention_;  ///< transformer option
   std::unique_ptr<nn::Linear> mask_embed_; ///< sparse mask → dense E
   std::unique_ptr<nn::Mlp> fusion_;
   std::unique_ptr<nn::Mlp> head_;          ///< weights shared across CCs

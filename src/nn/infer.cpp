@@ -290,33 +290,6 @@ void concat_cols(const float* const* parts, const std::size_t* widths,
   }
 }
 
-void softmax_rows(const float* x, float* y, std::size_t rows, std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* xrow = x + r * cols;
-    float* yrow = y + r * cols;
-    float maxv = xrow[0];
-    for (std::size_t c = 1; c < cols; ++c) maxv = std::max(maxv, xrow[c]);
-    float denom = 0.0f;
-    for (std::size_t c = 0; c < cols; ++c) {
-      const float e = std::exp(xrow[c] - maxv);
-      yrow[c] = e;
-      denom += e;
-    }
-    for (std::size_t c = 0; c < cols; ++c) yrow[c] /= denom;
-  }
-}
-
-void rowwise_dot(const float* a, const float* b, float* y, std::size_t rows,
-                 std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* arow = a + r * cols;
-    const float* brow = b + r * cols;
-    float acc = 0.0f;
-    for (std::size_t c = 0; c < cols; ++c) acc += arow[c] * brow[c];
-    y[r] = acc;
-  }
-}
-
 void mul_col_broadcast(const float* a, const float* col, float* y,
                        std::size_t rows, std::size_t cols) {
   for (std::size_t r = 0; r < rows; ++r) {

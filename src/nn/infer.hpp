@@ -148,14 +148,6 @@ void slice_cols(const float* x, std::size_t rows, std::size_t src_cols,
 void concat_cols(const float* const* parts, const std::size_t* widths,
                  std::size_t count, std::size_t rows, float* y);
 
-/// Row-wise softmax of x (rows × cols) into y: row max, exp(x − max)
-/// with the denominator summed c ascending, then divide.
-void softmax_rows(const float* x, float* y, std::size_t rows, std::size_t cols);
-
-/// y[r] = Σ_c a[r][c]·b[r][c], c ascending — the rowwise_dot forward.
-void rowwise_dot(const float* a, const float* b, float* y, std::size_t rows,
-                 std::size_t cols);
-
 /// y[r][c] = a[r][c] · col[r] — the mul_col_broadcast forward.
 void mul_col_broadcast(const float* a, const float* col, float* y,
                        std::size_t rows, std::size_t cols);
@@ -165,8 +157,7 @@ void mul_col_broadcast(const float* a, const float* col, float* y,
 /// A Linear captured for inference: weights copied once into a flat
 /// (in × out) buffer for matmul_xw. Snapshots,
 /// not views — the plan stays valid (if stale) while a new fit()
-/// mutates the module, and callers recompile via
-/// DeepPredictor::rebuild_plan() afterwards.
+/// mutates the module, and that fit() compiles a new plan at its end.
 struct PackedLinear {
   std::size_t in = 0;
   std::size_t out = 0;

@@ -452,59 +452,6 @@ Tensor mean_all(const Tensor& a) {
   return scale(sum_all(a), 1.0f / static_cast<float>(a.size()));
 }
 
-Tensor softmax_rows(const Tensor& a) {
-  check_defined(a, "softmax_rows");
-  const std::size_t rows = a.rows(), cols = a.cols();
-  auto out = make_result(rows, cols, {a.node()});
-  infer::softmax_rows(a.values().data(), out->values.data(), rows, cols);
-  if (out->requires_grad) {
-    out->backward_fn = [rows, cols](Node& self) {
-      Node& pa = *self.parents[0];
-      pa.ensure_grad();
-      // dL/dx_j = y_j (dL/dy_j − Σ_k dL/dy_k y_k), per row.
-      for (std::size_t r = 0; r < rows; ++r) {
-        float dot = 0.0f;
-        for (std::size_t c = 0; c < cols; ++c)
-          dot += self.grad[r * cols + c] * self.values[r * cols + c];
-        for (std::size_t c = 0; c < cols; ++c)
-          pa.grad[r * cols + c] +=
-              self.values[r * cols + c] * (self.grad[r * cols + c] - dot);
-      }
-    };
-  }
-  return Tensor(out);
-}
-
-Tensor rowwise_dot(const Tensor& a, const Tensor& b) {
-  check_defined(a, "rowwise_dot");
-  check_defined(b, "rowwise_dot");
-  CA5G_CHECK_MSG(a.rows() == b.rows() && a.cols() == b.cols(),
-                 "rowwise_dot shape mismatch");
-  const std::size_t rows = a.rows(), cols = a.cols();
-  auto out = make_result(rows, 1, {a.node(), b.node()});
-  infer::rowwise_dot(a.values().data(), b.values().data(), out->values.data(), rows,
-                     cols);
-  if (out->requires_grad) {
-    out->backward_fn = [rows, cols](Node& self) {
-      Node& pa = *self.parents[0];
-      Node& pb = *self.parents[1];
-      if (pa.requires_grad) {
-        pa.ensure_grad();
-        for (std::size_t r = 0; r < rows; ++r)
-          for (std::size_t c = 0; c < cols; ++c)
-            pa.grad[r * cols + c] += self.grad[r] * pb.values[r * cols + c];
-      }
-      if (pb.requires_grad) {
-        pb.ensure_grad();
-        for (std::size_t r = 0; r < rows; ++r)
-          for (std::size_t c = 0; c < cols; ++c)
-            pb.grad[r * cols + c] += self.grad[r] * pa.values[r * cols + c];
-      }
-    };
-  }
-  return Tensor(out);
-}
-
 Tensor mul_col_broadcast(const Tensor& a, const Tensor& col) {
   check_defined(a, "mul_col_broadcast");
   check_defined(col, "mul_col_broadcast");

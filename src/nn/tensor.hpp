@@ -116,12 +116,6 @@ class Tensor {
 /// Mean squared error between prediction and a constant target → 1×1.
 [[nodiscard]] Tensor mse_loss(const Tensor& pred, const Tensor& target);
 
-/// Row-wise softmax: each row sums to 1.
-[[nodiscard]] Tensor softmax_rows(const Tensor& a);
-
-/// Row-wise dot product of equally-shaped tensors → (rows × 1).
-[[nodiscard]] Tensor rowwise_dot(const Tensor& a, const Tensor& b);
-
 /// Multiply each row of `a` by the matching scalar of a (rows × 1)
 /// column vector.
 [[nodiscard]] Tensor mul_col_broadcast(const Tensor& a, const Tensor& col);

@@ -17,7 +17,7 @@
 // Metric names follow `layer.noun_unit` (see docs/OBSERVABILITY.md and
 // the prism5g_lint naming rule): lowercase dot-separated segments, the
 // last ending in a recognised unit suffix, e.g. `sim.steps_total`,
-// `predictor.inference_ns`, `nn.epoch_val_rmse`.
+// `predictor.inference_ns`, `nn.train_epochs_total`.
 //
 // Instrumentation is always compiled in; bench_obs_overhead holds its cost
 // under 2% of a sim run (see docs/OBSERVABILITY.md).

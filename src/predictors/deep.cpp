@@ -98,11 +98,11 @@ void DeepPredictor::fit(const traces::Dataset& ds,
   std::vector<std::vector<float>> best_params = snapshot_parameters();
   std::size_t since_best = 0;
   val_history_.clear();
+  best_epoch_ = 0;
 
   CA5G_METRIC_COUNTER(epochs_total, "nn.train_epochs_total");
   CA5G_METRIC_COUNTER(batches_total, "nn.train_batches_total");
   CA5G_METRIC_HISTOGRAM(backward_ns, "nn.backward_ns");
-  CA5G_METRIC_GAUGE(epoch_val_rmse, "nn.epoch_val_rmse");
 
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     epochs_total.inc();
@@ -141,10 +141,10 @@ void DeepPredictor::fit(const traces::Dataset& ds,
           }
       }
       val_rmse = std::sqrt(sq / static_cast<double>(std::max<std::size_t>(count, 1)));
-      epoch_val_rmse.set(val_rmse);
       val_history_.push_back(val_rmse);
       if (val_rmse < best_val - 1e-5) {
         best_val = val_rmse;
+        best_epoch_ = epoch;
         best_params = snapshot_parameters();
         since_best = 0;
       } else if (++since_best >= config_.patience) {
@@ -153,7 +153,8 @@ void DeepPredictor::fit(const traces::Dataset& ds,
     }
   }
   if (!val.empty()) restore_parameters(best_params);
-  rebuild_plan();
+  plan_ = compile_plan();
+  CA5G_CHECK_MSG(plan_ != nullptr, name() << " compiled no inference plan");
 }
 
 nn::Tensor DeepPredictor::compute_loss(std::span<const traces::Window* const> batch) {
@@ -206,6 +207,7 @@ std::vector<std::vector<double>> DeepPredictor::predict_many(
                    "predict_many: a window of history " << w->history()
                        << " in a batch whose first window has history "
                        << windows.front()->history());
+  CA5G_CHECK_MSG(plan_ != nullptr, name() << ": predict before fit");
   std::vector<std::vector<double>> out;
   out.reserve(windows.size());
   const std::size_t chunk = std::max<std::size_t>(1, config_.batch_size);
@@ -362,7 +364,6 @@ std::vector<nn::Tensor> LstmPredictor::trainable_parameters() {
 }
 
 std::unique_ptr<DeepPredictor::InferencePlan> LstmPredictor::compile_plan() const {
-  if (!lstm_ || !head_) return nullptr;
   return std::make_unique<LstmPlan>(*lstm_, *head_);
 }
 
@@ -396,7 +397,6 @@ std::vector<nn::Tensor> TcnPredictor::trainable_parameters() {
 }
 
 std::unique_ptr<DeepPredictor::InferencePlan> TcnPredictor::compile_plan() const {
-  if (convs_.empty() || !head_) return nullptr;
   return std::make_unique<TcnPlan>(convs_, *head_);
 }
 
@@ -446,7 +446,6 @@ std::vector<nn::Tensor> Lumos5gPredictor::trainable_parameters() {
 }
 
 std::unique_ptr<DeepPredictor::InferencePlan> Lumos5gPredictor::compile_plan() const {
-  if (!encoder_ || !decoder_ || !out_) return nullptr;
   return std::make_unique<LumosPlan>(*encoder_, *decoder_, *out_, horizon_);
 }
 

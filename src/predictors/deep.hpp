@@ -39,10 +39,16 @@ class DeepPredictor : public Predictor {
   [[nodiscard]] std::vector<std::vector<double>> predict_many(
       std::span<const traces::Window* const> windows) const final;
 
-  /// Validation RMSE trajectory of the last fit (for tests/benches).
+  /// Validation RMSE per epoch of the last fit: its size is the number
+  /// of epochs run (empty without a validation set).
   [[nodiscard]] const std::vector<double>& val_history() const noexcept {
     return val_history_;
   }
+  /// Index into val_history() of the epoch whose weights the last fit
+  /// restored.
+  [[nodiscard]] std::size_t best_epoch() const noexcept { return best_epoch_; }
+  /// The most epochs a fit runs (TrainConfig::epochs).
+  [[nodiscard]] std::size_t max_epochs() const noexcept { return config_.epochs; }
 
   /// All trainable parameters, sharing storage with the network; call
   /// after fit(). The order is fixed per model (the golden-model test
@@ -50,15 +56,12 @@ class DeepPredictor : public Predictor {
   [[nodiscard]] virtual std::vector<nn::Tensor> trainable_parameters() = 0;
 
   /// Toggle the compiled graph-free inference path (on by default).
-  /// With it off — or when the model has no plan — predict() and
-  /// predict_many() run the autograd graph, which stays the reference
-  /// oracle for the plan's bit-identity tests.
+  /// With it off, predict() and predict_many() run the autograd graph,
+  /// which stays the reference oracle for the plan's bit-identity tests.
   void set_fast_path(bool enabled) noexcept { fast_path_enabled_ = enabled; }
 
-  /// True when predictions run a compiled plan instead of the graph.
-  [[nodiscard]] bool fast_path_active() const noexcept {
-    return fast_path_enabled_ && plan_ != nullptr;
-  }
+  /// True when predictions run the compiled plan instead of the graph.
+  [[nodiscard]] bool fast_path_active() const noexcept { return fast_path_enabled_; }
 
   /// A compiled graph-free forward: stages window features straight
   /// into arena buffers and runs nn::infer kernels against weights
@@ -75,16 +78,11 @@ class DeepPredictor : public Predictor {
   };
 
  protected:
-  /// Compile this model's plan from the current weights. nullptr keeps
-  /// the graph path (default, and e.g. the transformer Prism5G
-  /// variant). fit() recompiles via rebuild_plan(), so plans never go
-  /// stale: weights only change through fit().
-  [[nodiscard]] virtual std::unique_ptr<InferencePlan> compile_plan() const {
-    return nullptr;
-  }
+  /// Compile this model's plan from the current weights, after build().
+  /// fit() compiles it last and CHECKs that it got one, so plans never
+  /// go stale: weights only change through fit().
+  [[nodiscard]] virtual std::unique_ptr<InferencePlan> compile_plan() const = 0;
 
-  /// Snapshot the current weights into a fresh plan.
-  void rebuild_plan() { plan_ = compile_plan(); }
   /// Construct layers for the dataset's dimensions.
   virtual void build(const traces::Dataset& ds, common::Rng& rng) = 0;
   /// Forward a batch → (batch × horizon) normalized predictions.
@@ -133,6 +131,7 @@ class DeepPredictor : public Predictor {
                 std::vector<std::vector<double>>& out) const;
 
   std::vector<double> val_history_;
+  std::size_t best_epoch_ = 0;
   std::unique_ptr<InferencePlan> plan_;
   bool fast_path_enabled_ = true;
 };

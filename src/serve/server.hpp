@@ -11,9 +11,10 @@
 // exactly as they do in training. For deep predictors that batched call
 // runs the compiled graph-free inference plan (nn/infer): each worker
 // thread reuses its own nn::infer::thread_arena() for scratch, so
-// steady-state serving builds no autograd nodes and touches the heap
-// zero times per batch — progress is visible in the infer.* metrics
-// next to the serve.* ones below.
+// steady-state serving builds no autograd nodes and takes its scratch
+// from a reused arena. It still allocates the delivered results: one
+// heap vector per horizon plus the batch's outer vector. Progress is
+// visible in the infer.* metrics next to the serve.* ones below.
 //
 // Overload behaviour is shed-not-queue: try_push admission control drops
 // requests once the queue is full (counted in serve.shed_total) so

@@ -192,18 +192,4 @@ TEST_F(Prism5gTest, RespondsToCaStateChange) {
   EXPECT_GT(with_cc1, without_cc1 + 0.02);
 }
 
-TEST_F(Prism5gTest, TransformerEncoderVariantLearns) {
-  // Paper §9 future work: the framework is architecture-agnostic — a
-  // transformer per-CC encoder plugs into the same mask/fusion/heads.
-  core::Prism5gConfig config = strong_aux();
-  config.encoder = core::EncoderKind::kTransformer;
-  core::Prism5G model(tiny_config(), config);
-  EXPECT_EQ(model.name(), "Prism5G(transformer)");
-  model.fit(*ds_, split_.train, split_.val);
-  EXPECT_LT(predictors::evaluate_rmse(model, split_.test), 0.25);
-  // Per-CC decomposition still holds with the swapped encoder.
-  const auto per_cc = model.predict_per_cc(*split_.test.front());
-  EXPECT_EQ(per_cc.size(), ds_->cc_slots());
-}
-
 }  // namespace

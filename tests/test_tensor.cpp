@@ -220,39 +220,6 @@ TEST(GradCheck, ReusedTensorAccumulates) {
   grad_check({a}, [&] { return sum_all(a * a + a); });
 }
 
-TEST(Tensor, SoftmaxRowsForward) {
-  const auto a = Tensor::from({0, 0, 0, 1, 2, 3}, 2, 3);
-  const auto s = softmax_rows(a);
-  for (std::size_t c = 0; c < 3; ++c) EXPECT_NEAR(s.at(0, c), 1.0f / 3, 1e-6);
-  float sum = 0.0f;
-  for (std::size_t c = 0; c < 3; ++c) sum += s.at(1, c);
-  EXPECT_NEAR(sum, 1.0f, 1e-6);
-  EXPECT_GT(s.at(1, 2), s.at(1, 1));
-}
-
-TEST(GradCheck, SoftmaxRows) {
-  Rng rng(30);
-  auto a = leaf(rng, 2, 4);
-  const auto weights = Tensor::from({1, -2, 0.5, 3, -1, 2, 0.3, -0.7}, 2, 4);
-  grad_check({a}, [&] { return sum_all(softmax_rows(a) * weights); });
-}
-
-TEST(Tensor, RowwiseDotForward) {
-  const auto a = Tensor::from({1, 2, 3, 4}, 2, 2);
-  const auto b = Tensor::from({5, 6, 7, 8}, 2, 2);
-  const auto d = rowwise_dot(a, b);
-  EXPECT_EQ(d.cols(), 1u);
-  EXPECT_FLOAT_EQ(d.at(0, 0), 17.0f);
-  EXPECT_FLOAT_EQ(d.at(1, 0), 53.0f);
-}
-
-TEST(GradCheck, RowwiseDot) {
-  Rng rng(31);
-  auto a = leaf(rng, 3, 3);
-  auto b = leaf(rng, 3, 3);
-  grad_check({a, b}, [&] { return sum_all(rowwise_dot(a, b) * rowwise_dot(a, b)); });
-}
-
 TEST(Tensor, MulColBroadcastForward) {
   const auto a = Tensor::from({1, 2, 3, 4}, 2, 2);
   const auto col = Tensor::from({10, -1}, 2, 1);

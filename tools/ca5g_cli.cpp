@@ -12,7 +12,8 @@
 // Every subcommand accepts --metrics-out FILE (metrics registry JSON) and
 // --report-out FILE (run summary JSON + FILE.events.jsonl timeline).
 // Every subcommand is deterministic for a given --seed. A flag the
-// subcommand does not take, or a flag without a value, exits 2.
+// subcommand does not take, a flag without a value, or an enumerated
+// flag's unknown value exits 2.
 #include <algorithm>
 #include <fstream>
 #include <initializer_list>
@@ -29,6 +30,7 @@
 #include "eval/pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
+#include "predictors/deep.hpp"
 #include "sim/sweep.hpp"
 #include "sim/trace_io.hpp"
 
@@ -95,6 +97,17 @@ sim::Mobility parse_mobility(const std::string& name) {
   std::exit(2);
 }
 
+/// True for `value == first`, false for `value == second`; any other
+/// value exits 2.
+bool parse_choice(const std::string& flag, const std::string& value, const char* first,
+                  const char* second) {
+  if (value == first) return true;
+  if (value == second) return false;
+  std::cerr << "unknown " << flag << ": " << value << " (use " << first << "/" << second
+            << ")\n";
+  std::exit(2);
+}
+
 /// Write --metrics-out / --report-out files if requested. Called at the
 /// end of every subcommand so any run can export its telemetry.
 void export_telemetry(const std::map<std::string, std::string>& args,
@@ -149,7 +162,7 @@ int cmd_simulate(int argc, char** argv) {
   config.duration_s = std::stod(get(args, "duration", "60"));
   config.step_s = std::stod(get(args, "step", "0.01"));
   config.seed = std::stoull(get(args, "seed", "7"));
-  if (get(args, "rat", "5g") == "4g") {
+  if (parse_choice("--rat", get(args, "rat", "5g"), "4g", "5g")) {
     config.rat = phy::Rat::kLte;
     config.cc_slots = 5;
   }
@@ -218,8 +231,9 @@ int cmd_evaluate(int argc, char** argv) {
   eval::SubDatasetId id;
   id.op = parse_op(get(args, "op", "OpZ"));
   id.mobility = parse_mobility(get(args, "mobility", "driving"));
-  const auto scale = get(args, "scale", "short") == "long" ? eval::TimeScale::kLong
-                                                           : eval::TimeScale::kShort;
+  const auto scale = parse_choice("--scale", get(args, "scale", "short"), "long", "short")
+                         ? eval::TimeScale::kLong
+                         : eval::TimeScale::kShort;
 
   obs::RunReport report("evaluate");
   report.meta("op", get(args, "op", "OpZ"));
@@ -246,6 +260,22 @@ int cmd_evaluate(int argc, char** argv) {
   report.kpi("test_rmse", rmse);
   std::cout << model->name() << " test RMSE (normalized): "
             << common::TextTable::num(rmse, 4) << "\n";
+  // How far a deep model's fit got: epochs run, the epoch whose weights
+  // it kept (1-based) and whether it ran to the epoch cap.
+  if (const auto* deep = dynamic_cast<const predictors::DeepPredictor*>(model.get());
+      deep != nullptr && !deep->val_history().empty()) {
+    const auto& history = deep->val_history();
+    const std::size_t best = deep->best_epoch();
+    const bool at_cap = history.size() == deep->max_epochs();
+    std::cout << model->name() << " fit: " << history.size() << " of " << deep->max_epochs()
+              << " epochs, best epoch " << best + 1 << " (validation RMSE "
+              << common::TextTable::num(history[best], 4) << "), "
+              << (at_cap ? "ran to the epoch cap" : "stopped early") << "\n";
+    report.kpi("fit_epochs_run", static_cast<double>(history.size()));
+    report.kpi("fit_best_epoch", static_cast<double>(best + 1));
+    report.kpi("fit_best_val_rmse", history[best]);
+    report.kpi("fit_ran_to_epoch_cap", at_cap ? 1.0 : 0.0);
+  }
 
   export_telemetry(args, report);
   return 0;
@@ -255,7 +285,7 @@ int cmd_qoe(int argc, char** argv) {
   const auto args = parse_args(argc, argv, 2, {"app", "model", "seed", "threads"});
   const auto app = get(args, "app", "vivo");
   const auto model_name = get(args, "model", "Prism5G");
-  const bool abr = app == "abr";
+  const bool abr = parse_choice("--app", app, "abr", "vivo");
   // Construct the model first: an unknown --model fails before any simulation.
   std::shared_ptr<predictors::Predictor> model{eval::make_predictor(model_name)};
 
