@@ -1,5 +1,5 @@
 // Fleet sweep scaling budget. Runs the same (operator, mobility, UE)
-// sweep serially and on the 8-thread work-stealing pool and enforces:
+// sweep serially and on an 8-thread pool and enforces:
 //
 //  1. bit-identical fleet hashes — parallelism must never change results
 //     (always checked, every build);
@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
   table.set_header({"metric", "1 thread", "8 threads"});
   table.add_row({"wall s", common::TextTable::num(serial.wall_s),
                  common::TextTable::num(pooled.wall_s)});
-  table.add_row({"steals", "0", std::to_string(pooled.pool_steals)});
   const double speedup = pooled.wall_s > 0.0 ? serial.wall_s / pooled.wall_s : 0.0;
   table.add_row({"speedup", "1.00", common::TextTable::num(speedup)});
   std::cout << table.to_string() << "\n";

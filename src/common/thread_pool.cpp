@@ -1,151 +1,95 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <exception>
 
 #include "common/contracts.hpp"
 
 namespace ca5g::common {
 
+thread_local const ThreadPool* ThreadPool::current_ = nullptr;
+
+struct ThreadPool::Job {
+  const std::function<void(std::size_t)>& fn;
+  std::size_t n, chunk;
+  std::atomic<std::size_t> next{0};    ///< the cursor: first unclaimed index
+  std::size_t active = 0;              ///< workers inside work()
+  std::exception_ptr error = nullptr;  ///< first exception a task threw
+};
+
 std::size_t default_thread_count() {
-  if (const char* env = std::getenv("CA5G_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+  const char* env = std::getenv("CA5G_THREADS");
+  const long v = env ? std::strtol(env, nullptr, 10) : 0;
+  return v > 0 ? static_cast<std::size_t>(v) : std::max(1u, std::thread::hardware_concurrency());
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {
   const std::size_t n = threads == 0 ? default_thread_count() : threads;
-  queues_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) queues_.push_back(std::make_unique<WorkerQueue>());
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  for (std::size_t i = 1; i < n; ++i) workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
+  { const std::lock_guard<std::mutex> lock(mu_); stop_ = true; }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  CA5G_CHECK_MSG(task != nullptr, "ThreadPool::submit of an empty task");
-  std::size_t target;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    CA5G_CHECK_MSG(!stop_, "ThreadPool::submit after shutdown");
-    ++pending_;
-    ++queued_;
-    target = next_queue_++ % queues_.size();
-  }
-  {
-    std::lock_guard<std::mutex> lock(queues_[target]->mu);
-    queues_[target]->tasks.push_back(std::move(task));
-  }
-  cv_.notify_one();
-}
-
-bool ThreadPool::try_run_one(std::size_t self) {
-  std::function<void()> task;
-  bool stolen = false;
-  // Own deque first (front = FIFO for the owner), then steal from the
-  // back of each victim in ring order starting after self.
-  {
-    std::lock_guard<std::mutex> lock(queues_[self]->mu);
-    if (!queues_[self]->tasks.empty()) {
-      task = std::move(queues_[self]->tasks.front());
-      queues_[self]->tasks.pop_front();
-    }
-  }
-  if (!task) {
-    for (std::size_t k = 1; k < queues_.size() && !task; ++k) {
-      const std::size_t victim = (self + k) % queues_.size();
-      std::lock_guard<std::mutex> lock(queues_[victim]->mu);
-      if (!queues_[victim]->tasks.empty()) {
-        task = std::move(queues_[victim]->tasks.back());
-        queues_[victim]->tasks.pop_back();
-        stolen = true;
-      }
-    }
-  }
-  if (!task) return false;
-  if (stolen) steals_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --queued_;
-  }
-
-  try {
-    task();
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!first_error_) first_error_ = std::current_exception();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (--pending_ == 0) idle_cv_.notify_all();
-  }
-  return true;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
+void ThreadPool::work(Job& job) {
   for (;;) {
-    if (try_run_one(self)) continue;
-    std::unique_lock<std::mutex> lock(mu_);
-    // queued_ (not pending_) gates the wait: pending_ counts tasks still
-    // executing on other workers, which this worker cannot help with.
-    cv_.wait(lock, [this] { return stop_ || queued_ > 0; });
-    if (stop_ && queued_ == 0) return;
+    const std::size_t lo = job.next.fetch_add(job.chunk, std::memory_order_relaxed);
+    if (lo >= job.n) return;
+    try {
+      for (std::size_t i = lo; i < std::min(job.n, lo + job.chunk); ++i) job.fn(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!job.error) job.error = std::current_exception();
+      job.next.store(job.n, std::memory_order_relaxed);  // no further claims
+    }
   }
 }
 
-void ThreadPool::wait_idle() {
-  std::exception_ptr err;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    idle_cv_.wait(lock, [this] { return pending_ == 0; });
-    err = first_error_;
-    first_error_ = nullptr;
+void ThreadPool::worker_loop() {
+  current_ = this;
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    cv_.wait(lock, [this] { return stop_ || (job_ != nullptr && job_->next < job_->n); });
+    if (stop_) return;
+    Job& job = *job_;  // joined under the lock: its caller waits for this worker to leave
+    ++job.active;
+    lock.unlock();
+    work(job);
+    lock.lock();
+    if (--job.active == 0) cv_.notify_all();
   }
-  if (err) std::rethrow_exception(err);
-}
-
-std::uint64_t ThreadPool::steal_count() const noexcept {
-  return steals_.load(std::memory_order_relaxed);
 }
 
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  // Chunk to ~8 tasks per worker: enough slack for stealing to balance
-  // uneven indices without drowning the queues in per-index tasks.
-  const std::size_t chunk =
-      std::max<std::size_t>(1, n / (pool.thread_count() * 8));
-  for (std::size_t lo = 0; lo < n; lo += chunk) {
-    const std::size_t hi = std::min(n, lo + chunk);
-    pool.submit([&fn, lo, hi] {
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-    });
-  }
-  pool.wait_idle();
+  CA5G_CHECK_MSG(ThreadPool::current_ != &pool, "parallel_for re-entered from its own pool");
+  // ~8 chunks per thread: slack for uneven indices, few cursor claims.
+  ThreadPool::Job job{fn, n, std::max<std::size_t>(1, n / (pool.thread_count() * 8))};
+  std::unique_lock<std::mutex> lock(pool.mu_);
+  pool.cv_.wait(lock, [&pool] { return pool.job_ == nullptr; });  // another caller's turn
+  pool.job_ = &job;
+  lock.unlock();
+  pool.cv_.notify_all();
+  const ThreadPool* outer = ThreadPool::current_;
+  ThreadPool::current_ = &pool;
+  pool.work(job);
+  ThreadPool::current_ = outer;
+  lock.lock();
+  pool.job_ = nullptr;  // a worker that wakes from here on cannot join this job
+  pool.cv_.notify_all();
+  pool.cv_.wait(lock, [&job] { return job.active == 0; });
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 void parallel_for(std::size_t threads, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  const std::size_t use = threads == 0 ? default_thread_count() : threads;
-  if (use <= 1 || n == 1) {
-    // Inline fast path: no pool, but the same index→slot contract.
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  ThreadPool pool(std::min(use, n));
+  ThreadPool pool(std::min(threads == 0 ? default_thread_count() : threads, n));
   parallel_for(pool, n, fn);
 }
 

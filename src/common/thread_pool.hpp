@@ -1,88 +1,54 @@
-// Shared work-stealing thread pool for the offline pipeline (fleet
-// sweeps, window featurization, fold/predictor evaluation).
-//
-// Design: each worker owns a deque of tasks; submit() distributes
-// round-robin, workers pop from the front of their own deque and steal
-// from the back of a victim's when theirs runs dry. Parallel users must
-// never rely on execution order for results — the parallel_for helper
-// assigns each index a fixed output slot, so results are bit-identical
-// at any thread count (see docs/TESTING.md and tests/test_determinism).
-//
-// Exceptions thrown by tasks are captured; the first one re-throws from
-// parallel_for / wait_idle on the calling thread.
+// Shared thread pool of the offline pipeline (fleet sweeps, featurization,
+// evaluation); parallel_for is its one use. A call puts its job in the
+// pool's one slot and claims chunks off one atomic cursor, in ascending
+// index order, next to the N − 1 workers of a pool of N (a pool of 1 runs
+// inline). Each index writes its own output slot, so results do not depend
+// on the thread count (docs/TESTING.md). Concurrent callers take turns at
+// the slot; a task that calls parallel_for on its own pool fails a CHECK.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace ca5g::common {
 
-/// Threads to use when a caller passes 0: the CA5G_THREADS environment
-/// variable if set (>0), else std::thread::hardware_concurrency.
+/// Threads for a caller that passes 0: CA5G_THREADS if > 0, else the hardware's.
 [[nodiscard]] std::size_t default_thread_count();
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (0 → default_thread_count()).
+  /// The caller of parallel_for plus threads − 1 workers (0 → default_thread_count()).
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
+  ThreadPool(const ThreadPool&) = delete;  // workers hold `this`
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  [[nodiscard]] std::size_t thread_count() const noexcept { return workers_.size(); }
-
-  /// Enqueue one task (round-robin across worker deques).
-  void submit(std::function<void()> task);
-
-  /// Block until every submitted task has completed; re-throws the first
-  /// task exception captured since the last wait.
-  void wait_idle();
-
-  /// Tasks a victim worker lost to a thief since construction.
-  [[nodiscard]] std::uint64_t steal_count() const noexcept;
+  [[nodiscard]] std::size_t thread_count() const noexcept { return workers_.size() + 1; }
 
  private:
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
+  struct Job;
+  friend void parallel_for(ThreadPool&, std::size_t, const std::function<void(std::size_t)>&);
+  void work(Job& job);
+  void worker_loop();
 
-  void worker_loop(std::size_t self);
-  [[nodiscard]] bool try_run_one(std::size_t self);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-
-  std::mutex mu_;                  ///< guards cv_/idle_cv_ waits and state below
-  std::condition_variable cv_;      ///< "work may be available"
-  std::condition_variable idle_cv_; ///< "pending_ hit zero"
-  std::size_t pending_ = 0;         ///< submitted but not yet finished
-  std::size_t queued_ = 0;          ///< submitted but not yet dequeued
-  std::size_t next_queue_ = 0;      ///< round-robin submit cursor
-  std::exception_ptr first_error_;
-  std::atomic<std::uint64_t> steals_{0};
+  std::mutex mu_;               ///< guards the slot, stop_ and each Job's active/error
+  std::condition_variable cv_;  ///< signals every change to what mu_ guards
+  Job* job_ = nullptr;          ///< the slot
   bool stop_ = false;
+  std::vector<std::thread> workers_;  // after what they use
+  static thread_local const ThreadPool* current_;  ///< pool whose task this thread runs
 };
 
-/// Run fn(i) for every i in [0, n) on `pool`, blocking until done.
-/// Work is chunked to amortize queue traffic; fn must only write state
-/// owned by index i (this is what makes results thread-count-invariant).
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn);
+/// Run fn(i) for every i in [0, n) on `pool`, blocking until done. fn must only
+/// write state owned by index i: that makes results thread-count-invariant.
+/// The first exception a task throws stops further claims and re-throws here.
+void parallel_for(ThreadPool& pool, std::size_t n, const std::function<void(std::size_t)>& fn);
 
-/// Convenience: run on a temporary pool of `threads` workers (0 → auto).
-/// threads == 1 executes inline on the calling thread, pool-free.
-void parallel_for(std::size_t threads, std::size_t n,
-                  const std::function<void(std::size_t)>& fn);
+/// Convenience: run on a temporary pool of min(threads, n) threads
+/// (0 → auto); one thread runs inline on the caller.
+void parallel_for(std::size_t threads, std::size_t n, const std::function<void(std::size_t)>& fn);
 
 }  // namespace ca5g::common

@@ -14,6 +14,9 @@ namespace infer = nn::infer;
 /// (aggregate history, RRC event flag, CC count).
 constexpr std::size_t kEncoderInputDim = traces::kCcFeatureDim + 1 + traces::kGlobalFeatureDim;
 
+/// Weight of the auxiliary per-CC supervision in the training loss.
+constexpr float kPerCcLossWeight = 0.5f;
+
 /// Stage CC c's step-t encoder inputs for every window of the batch into
 /// x (rows × kEncoderInputDim). Shared by the autograd and compiled paths
 /// so both stage the same floats, and by both to CHECK that each window
@@ -219,13 +222,12 @@ nn::Tensor sum_ccs(const std::vector<nn::Tensor>& per_cc) {
 
 }  // namespace
 
-Prism5G::Prism5G(predictors::TrainConfig train, Prism5gConfig config)
-    : predictors::DeepPredictor(train), pconfig_(config) {}
+Prism5G::Prism5G(predictors::TrainConfig train, Variant variant)
+    : predictors::DeepPredictor(train), variant_(variant) {}
 
 std::string Prism5G::name() const {
-  if (!pconfig_.use_state && !pconfig_.use_fusion) return "Prism5G(-state,-fusion)";
-  if (!pconfig_.use_state) return "Prism5G(no-state)";
-  if (!pconfig_.use_fusion) return "Prism5G(no-fusion)";
+  if (variant_ == Variant::kNoState) return "Prism5G(no-state)";
+  if (variant_ == Variant::kNoFusion) return "Prism5G(no-fusion)";
   return "Prism5G";
 }
 
@@ -235,10 +237,10 @@ void Prism5G::build(const traces::Dataset& ds, common::Rng& rng) {
 
   // One encoder instance == shared weights across all CC slots.
   encoder_ = std::make_unique<nn::Lstm>(rng, kEncoderInputDim, hidden, config_.layers);
-  mask_embed_ = std::make_unique<nn::Linear>(rng, cc_slots_ * ds.history(),
-                                             pconfig_.embed_dim);
-  const std::size_t fusion_in = cc_slots_ * hidden +
-                                (pconfig_.use_state ? pconfig_.embed_dim : 0);
+  // Every variant builds all four modules in this order: the trained-
+  // weights golden pins these RNG draws.
+  mask_embed_ = std::make_unique<nn::Linear>(rng, cc_slots_ * ds.history(), kEmbedDim);
+  const std::size_t fusion_in = cc_slots_ * hidden + (use_state() ? kEmbedDim : 0);
   fusion_ = std::make_unique<nn::Mlp>(
       rng, std::vector<std::size_t>{fusion_in, hidden, hidden});
   head_ = std::make_unique<nn::Mlp>(
@@ -254,7 +256,7 @@ std::vector<std::vector<nn::Tensor>> Prism5G::make_cc_sequences(
     sequences[c].reserve(t_len);
     for (std::size_t t = 0; t < t_len; ++t) {
       nn::Tensor x(batch.size(), kEncoderInputDim);
-      stage_cc_step(batch, cc_slots_, c, t, pconfig_.use_state, x.values().data());
+      stage_cc_step(batch, cc_slots_, c, t, use_state(), x.values().data());
       sequences[c].push_back(std::move(x));
     }
   }
@@ -279,9 +281,9 @@ std::vector<nn::Tensor> Prism5G::forward_per_cc(
 
   // 2+3. Mask embedding and fusion over [h_1..h_C, E].
   nn::Tensor fused;
-  if (pconfig_.use_fusion) {
+  if (use_fusion()) {
     std::vector<nn::Tensor> fusion_inputs = hidden_states;
-    if (pconfig_.use_state)
+    if (use_state())
       fusion_inputs.push_back(mask_embed_->forward(make_mask_matrix(batch)));
     fused = fusion_->forward(nn::concat_cols(fusion_inputs));
   }
@@ -295,7 +297,7 @@ std::vector<nn::Tensor> Prism5G::forward_per_cc(
   for (std::size_t c = 0; c < cc_slots_; ++c) {
     const nn::Tensor h = fused.defined() ? hidden_states[c] + fused : hidden_states[c];
     nn::Tensor y = head_->forward(h);
-    if (pconfig_.use_state) {
+    if (use_state()) {
       // The per-row gate needs no gradient; it scales the row's horizon.
       nn::Tensor gate(batch.size(), 1);
       for (std::size_t b = 0; b < batch.size(); ++b)
@@ -316,17 +318,14 @@ nn::Tensor Prism5G::compute_loss(std::span<const traces::Window* const> batch) {
   const auto per_cc = forward_per_cc(batch);
   nn::Tensor loss = nn::mse_loss(sum_ccs(per_cc), make_target(batch, horizon_));
 
-  if (pconfig_.per_cc_loss_weight > 0.0f) {
-    // Auxiliary per-CC supervision: each head should track its own CC.
-    for (std::size_t c = 0; c < per_cc.size(); ++c) {
-      nn::Tensor cc_target(batch.size(), horizon_);
-      for (std::size_t b = 0; b < batch.size(); ++b)
-        for (std::size_t h = 0; h < horizon_; ++h)
-          cc_target.set(b, h, static_cast<float>(batch[b]->cc_target_at(h, c)));
-      loss = loss + nn::scale(nn::mse_loss(per_cc[c], cc_target),
-                              pconfig_.per_cc_loss_weight /
-                                  static_cast<float>(per_cc.size()));
-    }
+  // Auxiliary per-CC supervision: each head should track its own CC.
+  for (std::size_t c = 0; c < per_cc.size(); ++c) {
+    nn::Tensor cc_target(batch.size(), horizon_);
+    for (std::size_t b = 0; b < batch.size(); ++b)
+      for (std::size_t h = 0; h < horizon_; ++h)
+        cc_target.set(b, h, static_cast<float>(batch[b]->cc_target_at(h, c)));
+    loss = loss + nn::scale(nn::mse_loss(per_cc[c], cc_target),
+                            kPerCcLossWeight / static_cast<float>(per_cc.size()));
   }
   return loss;
 }
@@ -343,8 +342,7 @@ std::vector<std::vector<double>> Prism5G::predict_per_cc(const traces::Window& w
 std::unique_ptr<predictors::DeepPredictor::InferencePlan> Prism5G::compile_plan()
     const {
   return std::make_unique<Prism5gPlan>(*encoder_, *mask_embed_, *fusion_, *head_,
-                                       pconfig_.use_state, pconfig_.use_fusion,
-                                       cc_slots_, horizon_);
+                                       use_state(), use_fusion(), cc_slots_, horizon_);
 }
 
 std::vector<nn::Tensor> Prism5G::trainable_parameters() {

@@ -11,9 +11,9 @@
 //     future throughput from h'_c = h_c + h_f, and the aggregate is
 //     y = Σ_c MLP(h'_c).
 //
-// The two ablation switches reproduce Table 13: `use_state` disables the
-// mask gating + embedding ("No State"), `use_fusion` disables the fusion
-// module ("No Fusion").
+// The two ablation variants reproduce Table 13: kNoState drops the mask
+// gating + embedding ("No State"), kNoFusion the fusion module ("No
+// Fusion").
 #pragma once
 
 #include <memory>
@@ -22,18 +22,15 @@
 
 namespace ca5g::core {
 
-/// Prism5G configuration beyond the shared training hyper-parameters.
-struct Prism5gConfig {
-  bool use_state = true;        ///< state-trigger mechanism (mask + embedding)
-  bool use_fusion = true;       ///< fusion-learning module
-  std::size_t embed_dim = 16;   ///< dense mask-embedding width
-  float per_cc_loss_weight = 0.5f;  ///< auxiliary per-CC supervision weight
-};
-
 class Prism5G final : public predictors::DeepPredictor {
  public:
+  /// The full model or one of the Table-13 ablations.
+  enum class Variant { kFull, kNoState, kNoFusion };
+  /// Dense mask-embedding width.
+  static constexpr std::size_t kEmbedDim = 16;
+
   explicit Prism5G(predictors::TrainConfig train = predictors::train_config_from_env(),
-                   Prism5gConfig config = Prism5gConfig{});
+                   Variant variant = Variant::kFull);
 
   [[nodiscard]] std::string name() const override;
 
@@ -67,7 +64,12 @@ class Prism5G final : public predictors::DeepPredictor {
   [[nodiscard]] std::vector<nn::Tensor> forward_per_cc(
       std::span<const traces::Window* const> batch) const;
 
-  Prism5gConfig pconfig_;
+  /// State-trigger mechanism (mask gating + embedding).
+  [[nodiscard]] bool use_state() const noexcept { return variant_ != Variant::kNoState; }
+  /// Fusion-learning module.
+  [[nodiscard]] bool use_fusion() const noexcept { return variant_ != Variant::kNoFusion; }
+
+  Variant variant_;
   std::size_t cc_slots_ = 4;
 
   std::unique_ptr<nn::Lstm> encoder_;      ///< weights shared across CCs

@@ -90,16 +90,12 @@ std::unique_ptr<predictors::Predictor> make_predictor(const std::string& name) {
   if (name == "TCN") return std::make_unique<predictors::TcnPredictor>();
   if (name == "Lumos5G") return std::make_unique<predictors::Lumos5gPredictor>();
   if (name == "Prism5G") return std::make_unique<core::Prism5G>();
-  if (name == "Prism5G-nostate") {
-    core::Prism5gConfig config;
-    config.use_state = false;
-    return std::make_unique<core::Prism5G>(predictors::train_config_from_env(), config);
-  }
-  if (name == "Prism5G-nofusion") {
-    core::Prism5gConfig config;
-    config.use_fusion = false;
-    return std::make_unique<core::Prism5G>(predictors::train_config_from_env(), config);
-  }
+  if (name == "Prism5G-nostate")
+    return std::make_unique<core::Prism5G>(predictors::train_config_from_env(),
+                                           core::Prism5G::Variant::kNoState);
+  if (name == "Prism5G-nofusion")
+    return std::make_unique<core::Prism5G>(predictors::train_config_from_env(),
+                                           core::Prism5G::Variant::kNoFusion);
   CA5G_CHECK_MSG(false, "unknown predictor name: " << name);
   return nullptr;  // unreachable
 }

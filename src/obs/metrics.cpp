@@ -116,25 +116,30 @@ bool is_valid_metric_name(std::string_view name) {
 
 // --- Histogram ---------------------------------------------------------------
 
-Histogram::Histogram(HistogramSpec spec) : spec_(spec) {
-  CA5G_CHECK_MSG(spec_.lower > 0.0, "histogram lower bound must be positive");
-  CA5G_CHECK_MSG(spec_.upper > spec_.lower, "histogram upper must exceed lower");
-  log_lower_ = std::log(spec_.lower);
-  const double log_ratio =
-      (std::log(spec_.upper) - log_lower_) / static_cast<double>(kBucketCount);
-  inv_log_ratio_ = 1.0 / log_ratio;
+// kLower is 1, so its log (0) drops out of the bucket arithmetic below.
+static_assert(Histogram::kLower == 1.0);
+
+namespace {
+
+/// Buckets per unit of log(v): the reciprocal log-width of one bucket.
+double inv_log_ratio() noexcept {
+  static const double inv =
+      1.0 / (std::log(Histogram::kUpper) / static_cast<double>(Histogram::kBucketCount));
+  return inv;
 }
 
-std::size_t Histogram::bucket_index(double v) const noexcept {
-  if (!(v > spec_.lower)) return 0;  // also catches NaN and negatives
-  if (v >= spec_.upper) return kBucketCount;
-  const auto idx = static_cast<std::size_t>((std::log(v) - log_lower_) * inv_log_ratio_);
+}  // namespace
+
+std::size_t Histogram::bucket_index(double v) noexcept {
+  if (!(v > kLower)) return 0;  // also catches NaN and negatives
+  if (v >= kUpper) return kBucketCount;
+  const auto idx = static_cast<std::size_t>(std::log(v) * inv_log_ratio());
   return std::min(idx, kBucketCount - 1);
 }
 
-double Histogram::bucket_upper_bound(std::size_t i) const noexcept {
+double Histogram::bucket_upper_bound(std::size_t i) noexcept {
   if (i >= kBucketCount) return std::numeric_limits<double>::infinity();
-  return std::exp(log_lower_ + static_cast<double>(i + 1) / inv_log_ratio_);
+  return std::exp(static_cast<double>(i + 1) / inv_log_ratio());
 }
 
 void Histogram::observe(double v) noexcept {
@@ -155,7 +160,6 @@ void Histogram::observe(double v) noexcept {
 HistogramSnapshot HistogramSnapshot::from(const std::string& name, const Histogram& h) {
   HistogramSnapshot snap;
   snap.name = name;
-  snap.spec = h.spec();
   snap.count = h.count();
   snap.sum = h.sum();
   snap.min = h.min_.load(std::memory_order_relaxed);
@@ -163,14 +167,6 @@ HistogramSnapshot HistogramSnapshot::from(const std::string& name, const Histogr
   snap.buckets.resize(Histogram::kBucketCount + 1);
   for (std::size_t i = 0; i < snap.buckets.size(); ++i) snap.buckets[i] = h.bucket_count(i);
   return snap;
-}
-
-double HistogramSnapshot::bucket_upper_bound(std::size_t i) const {
-  if (i >= Histogram::kBucketCount) return std::numeric_limits<double>::infinity();
-  const double log_lower = std::log(spec.lower);
-  const double log_ratio = (std::log(spec.upper) - log_lower) /
-                           static_cast<double>(Histogram::kBucketCount);
-  return std::exp(log_lower + static_cast<double>(i + 1) * log_ratio);
 }
 
 double HistogramSnapshot::quantile(double q) const {
@@ -183,7 +179,7 @@ double HistogramSnapshot::quantile(double q) const {
     cumulative += buckets[i];
     if (cumulative >= target && cumulative > 0) {
       if (i >= Histogram::kBucketCount) return max;  // overflow bucket
-      return std::min(bucket_upper_bound(i), max);
+      return std::min(Histogram::bucket_upper_bound(i), max);
     }
   }
   return max;
@@ -244,7 +240,7 @@ std::string to_json(const MetricsSnapshot& snapshot, int indent) {
       if (h.buckets[b] == 0) continue;
       if (!first) os << ", ";
       first = false;
-      const double le = h.bucket_upper_bound(b);
+      const double le = Histogram::bucket_upper_bound(b);
       os << '[' << (std::isinf(le) ? std::string("\"+inf\"") : json_number(le)) << ", "
          << h.buckets[b] << ']';
     }
@@ -284,13 +280,13 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
   return *it->second;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name, HistogramSpec spec) {
+Histogram& MetricsRegistry::histogram(std::string_view name) {
   CA5G_CHECK_MSG(is_valid_metric_name(name),
                  "metric name violates the layer.noun_unit convention: " << name);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end())
-    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>(spec)).first;
+    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>()).first;
   return *it->second;
 }
 

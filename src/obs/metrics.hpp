@@ -75,21 +75,16 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Histogram bucket layout: kBucketCount log-spaced buckets spanning
-/// [lower, upper), plus one overflow bucket. The default covers 1 ns to
-/// 100 s — wide enough for per-step latencies and whole-training walls.
-struct HistogramSpec {
-  double lower = 1.0;    ///< first bucket upper bound ≥ lower·ratio
-  double upper = 1e11;   ///< values ≥ upper land in the overflow bucket
-};
-
 /// Fixed-bucket log-spaced histogram. observe() costs two relaxed atomic
 /// RMWs plus a log(); count/sum/min/max are tracked for mean and export.
+/// Every histogram has one bucket layout: kBucketCount log-spaced buckets
+/// spanning [kLower, kUpper), plus one overflow bucket. It covers 1 ns to
+/// 100 s — wide enough for per-step latencies and whole-training walls.
 class Histogram {
  public:
   static constexpr std::size_t kBucketCount = 64;
-
-  explicit Histogram(HistogramSpec spec = {});
+  static constexpr double kLower = 1.0;   ///< values ≤ kLower land in bucket 0
+  static constexpr double kUpper = 1e11;  ///< values ≥ kUpper land in the overflow bucket
 
   void observe(double v) noexcept;
 
@@ -97,21 +92,18 @@ class Histogram {
     return count_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
-  [[nodiscard]] const HistogramSpec& spec() const noexcept { return spec_; }
 
-  /// Inclusive upper bound of bucket `i` (i == kBucketCount → +inf).
-  [[nodiscard]] double bucket_upper_bound(std::size_t i) const noexcept;
+  /// Inclusive upper bound of bucket `i` (i == kBucketCount → +inf). The
+  /// one bound function: snapshot quantiles and the JSON export read it.
+  [[nodiscard]] static double bucket_upper_bound(std::size_t i) noexcept;
   [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const noexcept {
     return buckets_[i].load(std::memory_order_relaxed);
   }
 
   /// Index of the bucket a value lands in (last index = overflow).
-  [[nodiscard]] std::size_t bucket_index(double v) const noexcept;
+  [[nodiscard]] static std::size_t bucket_index(double v) noexcept;
 
  private:
-  HistogramSpec spec_;
-  double log_lower_;
-  double inv_log_ratio_;
   std::array<std::atomic<std::uint64_t>, kBucketCount + 1> buckets_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
@@ -127,7 +119,6 @@ class Histogram {
 /// instrument keeps counting.
 struct HistogramSnapshot {
   std::string name;
-  HistogramSpec spec;
   std::uint64_t count = 0;
   double sum = 0.0;
   double min = 0.0;
@@ -142,7 +133,6 @@ struct HistogramSnapshot {
   /// Upper bound of the bucket where the cumulative count reaches q·count
   /// (q in [0,1]); a bucket-resolution quantile estimate.
   [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] double bucket_upper_bound(std::size_t i) const;
 };
 
 /// Full registry snapshot: isolated from later updates.
@@ -178,7 +168,7 @@ class MetricsRegistry {
 
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name, HistogramSpec spec = {});
+  Histogram& histogram(std::string_view name);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
   [[nodiscard]] std::vector<std::string> names() const;

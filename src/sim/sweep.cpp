@@ -1,6 +1,5 @@
 #include "sim/sweep.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -62,7 +61,6 @@ SweepResult run_sweep(const SweepSpec& spec) {
   CA5G_METRIC_HISTOGRAM(wall_ns, "sweep.wall_ns");
   CA5G_METRIC_GAUGE(pool_workers, "pool.workers_count");
   CA5G_METRIC_COUNTER(pool_tasks, "pool.tasks_total");
-  CA5G_METRIC_COUNTER(pool_steals, "pool.steals_total");
 
   const auto units = enumerate_units(spec);
   SweepResult result;
@@ -97,14 +95,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
   };
 
   const auto sweep_t0 = std::chrono::steady_clock::now();
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < units.size(); ++i) run_unit(i);
-  } else {
-    common::ThreadPool pool(std::min(threads, units.size()));
-    common::parallel_for(pool, units.size(), run_unit);
-    result.pool_steals = pool.steal_count();
-    pool_steals.inc(result.pool_steals);
-  }
+  common::parallel_for(threads, units.size(), run_unit);
   const auto wall = std::chrono::steady_clock::now() - sweep_t0;
   result.wall_s =
       std::chrono::duration_cast<std::chrono::duration<double>>(wall).count();

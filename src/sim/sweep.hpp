@@ -1,5 +1,5 @@
 // Fleet-scale sweep driver: runs N independent (operator, mobility, UE,
-// seed) simulations concurrently on the shared work-stealing pool
+// seed) simulations concurrently on the shared thread pool
 // (common/thread_pool) — the reproduction's stand-in for the paper's
 // 9-phone × 3-operator × 790 km campaign, scaled to thousands of UEs.
 //
@@ -61,7 +61,7 @@ struct SweepResult {
   std::uint64_t fleet_hash = 0;        ///< order-fixed combine of unit hashes
   double wall_s = 0.0;
   std::size_t threads_used = 0;
-  std::uint64_t pool_steals = 0;
+  std::uint64_t pool_steals = 0;       ///< always 0: the pool does not steal
   std::vector<Trace> traces;           ///< unit-indexed, when spec.keep_traces
 };
 
@@ -69,8 +69,8 @@ struct SweepResult {
 /// ue in [0, ues_per_cell), with seeds from Rng(spec.seed).substream(i).
 [[nodiscard]] std::vector<SweepUnit> enumerate_units(const SweepSpec& spec);
 
-/// Run every unit (threads from spec; 1 = serial). Exports sweep.* and
-/// pool.* metrics through the obs registry.
+/// Run every unit on a pool of spec.threads threads (1 runs inline on the
+/// caller). Exports sweep.* and pool.* metrics through the obs registry.
 [[nodiscard]] SweepResult run_sweep(const SweepSpec& spec);
 
 }  // namespace ca5g::sim

@@ -132,11 +132,11 @@ void featurize_step(const sim::TraceSample& s, std::size_t cc_slots,
 /// A normalized, windowed dataset plus its de-normalization scale.
 class Dataset {
  public:
-  /// Build from traces. All traces must share cc_slots. `threads` > 1
-  /// featurizes windows on the shared work-stealing pool; every window
+  /// Build from traces. All traces must share cc_slots. Featurizes the
+  /// windows with common::parallel_for on `threads` threads (0 =
+  /// common::default_thread_count, 1 = inline on the caller); every window
   /// is written to its pre-enumerated slot, so the dataset is
-  /// bit-identical at any thread count (0 = common::default_thread_count,
-  /// 1 = serial).
+  /// bit-identical at any thread count.
   [[nodiscard]] static Dataset from_traces(const std::vector<sim::Trace>& traces,
                                            const DatasetSpec& spec,
                                            std::size_t threads = 1);

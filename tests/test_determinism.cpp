@@ -316,18 +316,13 @@ std::vector<std::unique_ptr<predictors::DeepPredictor>> golden_models() {
   predictors::TrainConfig single = train;
   single.layers = 1;
 
-  core::Prism5gConfig no_state;
-  no_state.use_state = false;
-  core::Prism5gConfig no_fusion;
-  no_fusion.use_fusion = false;
-
   std::vector<std::unique_ptr<predictors::DeepPredictor>> models;
   models.push_back(std::make_unique<predictors::LstmPredictor>(train));
   models.push_back(std::make_unique<predictors::TcnPredictor>(train));
   models.push_back(std::make_unique<predictors::Lumos5gPredictor>(single));
   models.push_back(std::make_unique<core::Prism5G>(single));
-  models.push_back(std::make_unique<core::Prism5G>(single, no_state));
-  models.push_back(std::make_unique<core::Prism5G>(single, no_fusion));
+  models.push_back(std::make_unique<core::Prism5G>(single, core::Prism5G::Variant::kNoState));
+  models.push_back(std::make_unique<core::Prism5G>(single, core::Prism5G::Variant::kNoFusion));
   return models;
 }
 

@@ -473,15 +473,11 @@ TEST(InferFastPath, Prism5gAblationsMatchGraph) {
   common::Rng rng(25);
   const auto split = ds.random_split(0.5, 0.2, rng);
 
-  core::Prism5gConfig nostate;
-  nostate.use_state = false;
-  core::Prism5G no_state_model(fast_config(1), nostate);
+  core::Prism5G no_state_model(fast_config(1), core::Prism5G::Variant::kNoState);
   no_state_model.fit(ds, split.train, split.val);
   expect_fast_matches_graph(no_state_model, split);
 
-  core::Prism5gConfig nofusion;
-  nofusion.use_fusion = false;
-  core::Prism5G no_fusion_model(fast_config(1), nofusion);
+  core::Prism5G no_fusion_model(fast_config(1), core::Prism5G::Variant::kNoFusion);
   no_fusion_model.fit(ds, split.train, split.val);
   expect_fast_matches_graph(no_fusion_model, split);
 }

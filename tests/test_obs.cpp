@@ -273,6 +273,22 @@ TEST(Histogram, QuantileBucketResolution) {
   EXPECT_LE(snap.quantile(1.0), h.bucket_upper_bound(h.bucket_index(100.0)));
 }
 
+TEST(Histogram, SnapshotReadsTheLiveBucketBounds) {
+  // One value in bucket i and one in the overflow bucket: the snapshot's
+  // median is bucket i's upper bound, which must be the very double the
+  // live histogram's bucket_index is tested against.
+  for (std::size_t i = 0; i < obs::Histogram::kBucketCount; ++i) {
+    obs::Histogram h;
+    const double v =
+        i == 0 ? 0.5 : std::sqrt(h.bucket_upper_bound(i - 1) * h.bucket_upper_bound(i));
+    ASSERT_EQ(h.bucket_index(v), i);
+    h.observe(v);
+    h.observe(1e12);
+    const auto snap = obs::HistogramSnapshot::from("t.bounds_ns", h);
+    EXPECT_EQ(snap.quantile(0.5), h.bucket_upper_bound(i)) << "bucket " << i;
+  }
+}
+
 // --- Registry and snapshots --------------------------------------------------
 
 TEST(Registry, SameNameSameInstrument) {

@@ -21,15 +21,6 @@ TrainConfig tiny_config() {
   return config;
 }
 
-/// Strong per-CC supervision so the tiny training budget still forces
-/// the heads to track their own carriers (what the per-CC assertions
-/// below verify).
-core::Prism5gConfig strong_aux() {
-  core::Prism5gConfig config;
-  config.per_cc_loss_weight = 0.5f;
-  return config;
-}
-
 class Prism5gTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -43,23 +34,21 @@ class Prism5gTest : public ::testing::Test {
 
 TEST_F(Prism5gTest, NamesReflectAblations) {
   EXPECT_EQ(core::Prism5G(tiny_config()).name(), "Prism5G");
-  core::Prism5gConfig no_state;
-  no_state.use_state = false;
-  EXPECT_EQ(core::Prism5G(tiny_config(), no_state).name(), "Prism5G(no-state)");
-  core::Prism5gConfig no_fusion;
-  no_fusion.use_fusion = false;
-  EXPECT_EQ(core::Prism5G(tiny_config(), no_fusion).name(), "Prism5G(no-fusion)");
+  EXPECT_EQ(core::Prism5G(tiny_config(), core::Prism5G::Variant::kNoState).name(),
+            "Prism5G(no-state)");
+  EXPECT_EQ(core::Prism5G(tiny_config(), core::Prism5G::Variant::kNoFusion).name(),
+            "Prism5G(no-fusion)");
 }
 
 TEST_F(Prism5gTest, LearnsSyntheticStructure) {
-  core::Prism5G model(tiny_config(), strong_aux());
+  core::Prism5G model(tiny_config());
   model.fit(*ds_, split_.train, split_.val);
   const double rmse = predictors::evaluate_rmse(model, split_.test);
   EXPECT_LT(rmse, 0.15);  // structured synthetic data is very learnable
 }
 
 TEST_F(Prism5gTest, AggregateEqualsSumOfPerCcHeads) {
-  core::Prism5G model(tiny_config(), strong_aux());
+  core::Prism5G model(tiny_config());
   model.fit(*ds_, split_.train, split_.val);
   const auto& w = *split_.test.front();
   const auto agg = model.predict(w);
@@ -74,7 +63,7 @@ TEST_F(Prism5gTest, AggregateEqualsSumOfPerCcHeads) {
 }
 
 TEST_F(Prism5gTest, PerCcPredictionsTrackPerCcTargets) {
-  core::Prism5G model(tiny_config(), strong_aux());
+  core::Prism5G model(tiny_config());
   model.fit(*ds_, split_.train, split_.val);
   // cc0 is always active and carries most throughput; cc2/cc3 are never
   // active in the synthetic data, so their heads must output ≈ 0.
@@ -98,7 +87,7 @@ TEST_F(Prism5gTest, PerCcPredictionsTrackPerCcTargets) {
 TEST_F(Prism5gTest, MaskGatesInputs) {
   // With the state mechanism on, zeroing the mask of a window must
   // change the prediction (inputs are gated by the mask).
-  core::Prism5G model(tiny_config(), strong_aux());
+  core::Prism5G model(tiny_config());
   model.fit(*ds_, split_.train, split_.val);
   traces::Window w = *split_.test.front();
   const auto before = model.predict(w);
@@ -111,15 +100,11 @@ TEST_F(Prism5gTest, MaskGatesInputs) {
 }
 
 TEST_F(Prism5gTest, AblationsStillLearn) {
-  core::Prism5gConfig no_state;
-  no_state.use_state = false;
-  core::Prism5G a(tiny_config(), no_state);
+  core::Prism5G a(tiny_config(), core::Prism5G::Variant::kNoState);
   a.fit(*ds_, split_.train, split_.val);
   EXPECT_LT(predictors::evaluate_rmse(a, split_.test), 0.2);
 
-  core::Prism5gConfig no_fusion;
-  no_fusion.use_fusion = false;
-  core::Prism5G b(tiny_config(), no_fusion);
+  core::Prism5G b(tiny_config(), core::Prism5G::Variant::kNoFusion);
   b.fit(*ds_, split_.train, split_.val);
   EXPECT_LT(predictors::evaluate_rmse(b, split_.test), 0.2);
 }
@@ -157,7 +142,7 @@ TEST_F(Prism5gTest, SharedEncoderKeepsParameterCountFlat) {
     EXPECT_EQ(four[i].cols(), six[i].cols()) << "tensor " << i;
   }
   const std::size_t t_len = 10, extra_slots = 2;
-  const std::size_t embed_growth = t_len * extra_slots * core::Prism5gConfig{}.embed_dim;
+  const std::size_t embed_growth = t_len * extra_slots * core::Prism5G::kEmbedDim;
   const std::size_t fusion_growth = extra_slots * config.hidden * config.hidden;
   EXPECT_EQ(six[embed_w].size() - four[embed_w].size(), embed_growth);
   EXPECT_EQ(six[fusion_w].size() - four[fusion_w].size(), fusion_growth);
@@ -167,7 +152,7 @@ TEST_F(Prism5gTest, SharedEncoderKeepsParameterCountFlat) {
 TEST_F(Prism5gTest, RespondsToCaStateChange) {
   // Construct two windows identical except cc1's activation state; a
   // CA-aware model must predict higher throughput when cc1 is active.
-  core::Prism5G model(tiny_config(), strong_aux());
+  core::Prism5G model(tiny_config());
   model.fit(*ds_, split_.train, split_.val);
 
   // Find a test window where cc1 is active throughout.

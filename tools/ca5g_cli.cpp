@@ -418,7 +418,7 @@ int cmd_quickstart(int argc, char** argv) {
 
 // sweep: the fleet-scale offline pipeline. Enumerates the (operator,
 // mobility, UE) cross product, runs every unit concurrently on the
-// work-stealing pool, and prints per-cell statistics plus the fleet
+// shared thread pool, and prints per-cell statistics plus the fleet
 // hash — the determinism fingerprint that must not depend on --threads.
 int cmd_sweep(int argc, char** argv) {
   const auto args = parse_args(
@@ -459,11 +459,9 @@ int cmd_sweep(int argc, char** argv) {
   std::ostringstream hash;
   hash << std::hex << result.fleet_hash;
   std::cout << "fleet hash: " << hash.str() << "\n"
-            << "wall: " << common::TextTable::num(result.wall_s, 2) << " s, steals: "
-            << result.pool_steals << "\n";
+            << "wall: " << common::TextTable::num(result.wall_s, 2) << " s\n";
   report.kpi("units", static_cast<double>(result.units.size()));
   report.kpi("wall_s", result.wall_s);
-  report.kpi("pool_steals", static_cast<double>(result.pool_steals));
   export_telemetry(args, report);
   return 0;
 }

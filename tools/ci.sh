@@ -172,9 +172,12 @@ else
 fi
 
 # --- 3. TSan on the parallel pipeline and the serving path ------------------
-# The work-stealing pool, fleet sweep, thread-count-determinism, serving
-# (SessionTable ingest/snapshot, PredictionServer) and concurrent
-# inference tests under ThreadSanitizer: any data race is fatal here. A failure is retried once so a flaky (racy-but-rarely)
+# The thread pool (its job slot and chunk cursor, concurrent callers,
+# re-entry, reuse after a throw), fleet sweep, thread-count-determinism,
+# serving (SessionTable ingest/snapshot, PredictionServer) and concurrent
+# inference tests under ThreadSanitizer: any data race is fatal here, and
+# the pool and serve tests carry a ctest TIMEOUT, so a lost wake-up or a
+# deadlock fails in bounded time. A failure is retried once so a flaky (racy-but-rarely)
 # test surfaces as FLAKY instead of hiding behind a green re-run; either
 # way the stage fails.
 run cmake -B build-ci-tsan -S . \
