@@ -49,8 +49,6 @@ double transition_rmse(const std::vector<double>& pred, const sim::Trace& trace,
 int main() {
   bench::banner("Figs. 17-18 / 33-36",
                 "Prediction time series & transition zones Z1/Z2 (10 ms scale)");
-  bench::BenchReport bench_json("fig17_transitions");
-
   // Training data: the standard OpZ driving short-scale sub-dataset.
   auto gen = eval::GenerationConfig::from_env();
   const eval::SubDatasetId id{ran::OperatorId::kOpZ, sim::Mobility::kDriving};
@@ -96,8 +94,6 @@ int main() {
     const double zones = transition_rmse(pred, trace, 25);
     table.add_row({name, common::TextTable::num(whole, 0),
                    common::TextTable::num(zones, 0)});
-    bench_json.result(std::string(name) + "_rmse_mbps", whole);
-    bench_json.result(std::string(name) + "_transition_rmse_mbps", zones);
   };
   add("Prophet", p_prophet);
   add("LSTM", p_lstm);

@@ -8,8 +8,7 @@
 //     autograd graph (always checked, every build — the fast path must
 //     be invisible);
 //  2. >= 3x wall-clock speedup of the plan over the graph per model at
-//     B = 1, the paper's per-UE serving call (CA5G_INFER_MIN_SPEEDUP
-//     overrides).
+//     B = 1, the paper's per-UE serving call.
 //
 // B = 1 is the gated shape because it is where the graph tax lives:
 // every autograd op allocates its Node + value/grad vectors once per
@@ -18,8 +17,8 @@
 // plan cannot legally cross — bit-identity pins sigmoid/tanh to the
 // exact libm calls and every dot product to the graph's accumulation
 // order, and those transcendentals dominate the batched forward. The
-// B = 8/32 rows are reported (and exported via CA5G_BENCH_JSON) so the
-// batched trajectory is tracked, just not gated.
+// B = 8/32 rows are reported so the batched trajectory is visible, just
+// not gated.
 //
 // Sanitized builds skip the timing loops entirely and run only the
 // bit-identity check: the speedup threshold would be meaningless there
@@ -28,10 +27,9 @@
 // concurrency coverage lives in test_infer_fastpath instead. `--smoke`
 // shortens the timing loops for ctest registration (labels: serve,
 // parallel); `--equality-only` forces the same equality-only behaviour
-// in any build — that's the CI stage that proves equivalence even in
-// unusual build configs.
+// in any build — CI's -march=native stage runs it to prove equivalence
+// whatever the host's vector ISA.
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -62,6 +60,9 @@ constexpr bool kSanitizedBuild = false;
 #else
 constexpr bool kSanitizedBuild = false;
 #endif
+
+/// The plan must beat the graph by this factor at B = 1.
+constexpr double kMinSpeedup = 3.0;
 
 /// The serving shape: hidden 32, 2 layers, micro-batches of 32 windows.
 TrainConfig serving_config() {
@@ -95,7 +96,6 @@ int main(int argc, char** argv) {
                 std::string("compiled plan vs autograd graph on the serving batch shape (") +
                     (kSanitizedBuild ? "sanitized build: perf asserts off" : "perf-asserted") +
                     ")");
-  bench::BenchReport report("infer_fastpath");
 
   const auto ds = test::synthetic_dataset(2, 400);
   common::Rng rng(42);
@@ -114,9 +114,6 @@ int main(int argc, char** argv) {
 
   bool ok = true;
   const std::size_t reps = smoke ? 20 : 200;
-  double min_speedup = 3.0;
-  if (const char* env = std::getenv("CA5G_INFER_MIN_SPEEDUP"))
-    min_speedup = std::atof(env);
 
   common::TextTable table("plan vs graph across serving batch sizes (" +
                           std::to_string(reps) + " reps at B=" +
@@ -169,19 +166,15 @@ int main(int argc, char** argv) {
           speedup = s;
         }
       }
-      const std::string tag = model->name() + ".B" + std::to_string(b);
       table.add_row({model->name() + " B=" + std::to_string(b),
                      common::TextTable::num(graph_ms), common::TextTable::num(plan_ms),
                      common::TextTable::num(speedup),
                      common::TextTable::num(plan_ms * 1000.0 / static_cast<double>(b))});
-      report.result(tag + ".graph_ms", graph_ms);
-      report.result(tag + ".plan_ms", plan_ms);
-      report.result(tag + ".speedup", speedup);
 
       if (b != 1) continue;
-      if (speedup < min_speedup) {
+      if (speedup < kMinSpeedup) {
         std::cerr << "FAIL: " << model->name() << " B=1 plan speedup " << speedup
-                  << "x < required " << min_speedup << "x\n";
+                  << "x < required " << kMinSpeedup << "x\n";
         ok = false;
       }
     }

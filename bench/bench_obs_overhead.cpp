@@ -70,12 +70,6 @@ int main(int argc, char** argv) {
   engine.add_row({"ns/step", common::TextTable::num(step_ns, 0)});
   engine.add_row({"steps/s", common::TextTable::num(1e9 / step_ns, 0)});
 
-  bench::BenchReport bench_json("obs_overhead");
-  bench_json.result("counter_inc_ns", counter_ns);
-  bench_json.result("histogram_observe_ns", observe_ns);
-  bench_json.result("scoped_timer_ns", timer_ns);
-  bench_json.result("sim_step_ns", step_ns);
-
   // Estimate the instrumentation share of the sim run: the registry
   // knows exactly how many updates the run performed. Every instrument
   // on the simulator path counts one update per call — a counter value
@@ -101,7 +95,6 @@ int main(int argc, char** argv) {
                   common::TextTable::num(counter_updates + timer_updates + observe_updates, 0)});
   engine.add_row({"instrumentation share (%)", common::TextTable::num(share, 3)});
   std::cout << engine << "\n";
-  bench_json.result("instrument_share_pct", share);
   if (share >= 2.0) {
     std::cerr << "FAIL: instrumentation overhead " << share << "% >= 2%\n";
     return 1;

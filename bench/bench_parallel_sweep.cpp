@@ -3,8 +3,7 @@
 //
 //  1. bit-identical fleet hashes — parallelism must never change results
 //     (always checked, every build);
-//  2. >= 3x wall-clock speedup at 8 threads over 1 thread
-//     (CA5G_SWEEP_MIN_SPEEDUP overrides).
+//  2. >= 3x wall-clock speedup at 8 threads over 1 thread.
 //
 // The speedup threshold is skipped under sanitizers (instrumented code
 // has its own scaling profile) and on hosts with fewer than 8 hardware
@@ -12,7 +11,6 @@
 //
 // `--smoke` shortens the simulated duration for ctest registration
 // (label: parallel).
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <thread>
@@ -36,6 +34,9 @@ constexpr bool kSanitizedBuild = false;
 #else
 constexpr bool kSanitizedBuild = false;
 #endif
+
+/// The 8-thread sweep must beat the 1-thread sweep by this factor.
+constexpr double kMinSpeedup = 3.0;
 
 sim::SweepSpec base_spec(bool smoke) {
   sim::SweepSpec spec;
@@ -96,10 +97,8 @@ int main(int argc, char** argv) {
     return ok ? 0 : 1;
   }
 
-  double min_speedup = 3.0;
-  if (const char* env = std::getenv("CA5G_SWEEP_MIN_SPEEDUP")) min_speedup = std::atof(env);
-  if (speedup < min_speedup) {
-    std::cerr << "FAIL: speedup " << speedup << "x < required " << min_speedup << "x\n";
+  if (speedup < kMinSpeedup) {
+    std::cerr << "FAIL: speedup " << speedup << "x < required " << kMinSpeedup << "x\n";
     ok = false;
   }
 

@@ -6,15 +6,12 @@
 #pragma once
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 
 namespace ca5g::bench {
@@ -69,49 +66,5 @@ inline std::string sparkline(const std::vector<double>& xs, std::size_t width = 
   }
   return out;
 }
-
-/// Machine-readable bench output: collects named scalar results and, on
-/// destruction, writes BENCH_<name>.json — {"bench", "results", "metrics"}
-/// with the obs registry snapshot embedded — seeding the repo's perf
-/// trajectory. Opt-in via CA5G_BENCH_JSON=1 so interactive runs stay
-/// file-free; CA5G_BENCH_DIR overrides the output directory (default cwd).
-class BenchReport {
- public:
-  explicit BenchReport(std::string name) : name_(std::move(name)) {}
-
-  BenchReport(const BenchReport&) = delete;
-  BenchReport& operator=(const BenchReport&) = delete;
-
-  void result(const std::string& key, double value) { results_.emplace_back(key, value); }
-
-  ~BenchReport() {
-    const char* enabled = std::getenv("CA5G_BENCH_JSON");
-    if (enabled == nullptr || enabled[0] != '1') return;
-    std::string dir = ".";
-    if (const char* d = std::getenv("CA5G_BENCH_DIR"); d != nullptr && d[0] != '\0') dir = d;
-    const std::string path = dir + "/BENCH_" + name_ + ".json";
-    std::ofstream out(path);
-    if (!out.good()) {
-      std::cerr << "BenchReport: cannot open " << path << "\n";
-      return;
-    }
-    out << "{\n  \"bench\": \"" << obs::json_escape(name_) << "\",\n  \"results\": {";
-    for (std::size_t i = 0; i < results_.size(); ++i)
-      out << (i == 0 ? "\n" : ",\n") << "    \"" << obs::json_escape(results_[i].first)
-          << "\": " << obs::json_number(results_[i].second);
-    out << (results_.empty() ? "" : "\n  ") << "},\n  \"metrics\": ";
-    const std::string metrics = obs::to_json(obs::MetricsRegistry::global().snapshot());
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-      out << metrics[i];
-      if (metrics[i] == '\n' && i + 1 < metrics.size()) out << "  ";
-    }
-    out << "\n}\n";
-    std::cout << "bench json written to " << path << "\n";
-  }
-
- private:
-  std::string name_;
-  std::vector<std::pair<std::string, double>> results_;
-};
 
 }  // namespace ca5g::bench

@@ -9,13 +9,11 @@
 // Macro families:
 //   CA5G_CHECK(cond) / CA5G_CHECK_MSG(cond, msg)
 //       Always-on condition checks (hot paths included; keep conditions cheap).
-//   CA5G_CHECK_EQ/NE/LT/LE/GT/GE(a, b)
+//   CA5G_CHECK_EQ/GT/GE(a, b), CA5G_CHECK_EQ/LE/GE_MSG(a, b, msg)
 //       Comparison checks that print both operands on failure, e.g.
 //       "CA5G_CHECK_LE failed: (mcs <= kMaxMcsIndex) [31 vs 27]".
-//   CA5G_CHECK_NEAR(a, b, tol)
-//       |a - b| <= tol with operand printing.
-//   CA5G_CHECK_BOUNDS(i, size) / CA5G_CHECK_IN_RANGE(v, lo, hi)
-//       Index (half-open) and value (closed-interval) range checks.
+//   CA5G_CHECK_IN_RANGE(v, lo, hi)
+//       Closed-interval value range check.
 //   CA5G_DCHECK* variants of all of the above
 //       Compiled out when CA5G_ENABLE_DCHECKS is 0 (the default for NDEBUG
 //       builds); used for expensive or inner-loop invariants. Sanitizer CI
@@ -23,8 +21,6 @@
 
 #pragma once
 
-#include <cmath>
-#include <cstddef>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -89,24 +85,6 @@ std::string repr(const T& value) {
 
 }  // namespace detail
 
-/// Throwing bounds check for container indexing: returns `i` as std::size_t
-/// after verifying 0 <= i < size. Usable in constant expressions.
-template <typename Index>
-constexpr std::size_t checked_index(Index i, std::size_t size,
-                                    const char* what = "index") {
-  if constexpr (std::is_signed_v<Index>) {
-    if (i < 0 || static_cast<std::size_t>(i) >= size)
-      throw CheckError(std::string(what) + " out of bounds: " + detail::repr(i) +
-                       " not in [0, " + detail::repr(size) + ")");
-    return static_cast<std::size_t>(i);
-  } else {
-    if (static_cast<std::size_t>(i) >= size)
-      throw CheckError(std::string(what) + " out of bounds: " + detail::repr(i) +
-                       " not in [0, " + detail::repr(size) + ")");
-    return static_cast<std::size_t>(i);
-  }
-}
-
 }  // namespace ca5g::common
 
 /// Validate a runtime condition; throws ca5g::common::CheckError on failure.
@@ -143,9 +121,6 @@ constexpr std::size_t checked_index(Index i, std::size_t size,
 
 /// Comparison checks that print both operand values on failure.
 #define CA5G_CHECK_EQ(a, b) CA5G_CHECK_CMP_IMPL_("CA5G_CHECK_EQ", a, ==, b, "")
-#define CA5G_CHECK_NE(a, b) CA5G_CHECK_CMP_IMPL_("CA5G_CHECK_NE", a, !=, b, "")
-#define CA5G_CHECK_LT(a, b) CA5G_CHECK_CMP_IMPL_("CA5G_CHECK_LT", a, <, b, "")
-#define CA5G_CHECK_LE(a, b) CA5G_CHECK_CMP_IMPL_("CA5G_CHECK_LE", a, <=, b, "")
 #define CA5G_CHECK_GT(a, b) CA5G_CHECK_CMP_IMPL_("CA5G_CHECK_GT", a, >, b, "")
 #define CA5G_CHECK_GE(a, b) CA5G_CHECK_CMP_IMPL_("CA5G_CHECK_GE", a, >=, b, "")
 
@@ -153,26 +128,6 @@ constexpr std::size_t checked_index(Index i, std::size_t size,
 #define CA5G_CHECK_EQ_MSG(a, b, msg) CA5G_CHECK_CMP_IMPL_("CA5G_CHECK_EQ", a, ==, b, msg)
 #define CA5G_CHECK_LE_MSG(a, b, msg) CA5G_CHECK_CMP_IMPL_("CA5G_CHECK_LE", a, <=, b, msg)
 #define CA5G_CHECK_GE_MSG(a, b, msg) CA5G_CHECK_CMP_IMPL_("CA5G_CHECK_GE", a, >=, b, msg)
-
-/// |a − b| <= tol, with operand printing.
-#define CA5G_CHECK_NEAR(a, b, tol)                                                     \
-  do {                                                                                 \
-    const auto ca5g_near_a_ = (a);                                                     \
-    const auto ca5g_near_b_ = (b);                                                     \
-    const auto ca5g_near_tol_ = (tol);                                                 \
-    if (!(std::abs(ca5g_near_a_ - ca5g_near_b_) <= ca5g_near_tol_)) {                  \
-      ::ca5g::common::detail::raise_cmp_failure(                                       \
-          "CA5G_CHECK_NEAR", #a, "~=", #b, ::ca5g::common::detail::repr(ca5g_near_a_), \
-          ::ca5g::common::detail::repr(ca5g_near_b_), __FILE__, __LINE__,              \
-          "tolerance " + ::ca5g::common::detail::repr(ca5g_near_tol_));                \
-    }                                                                                  \
-  } while (false)
-
-/// Half-open index bounds check: 0 <= i < size.
-#define CA5G_CHECK_BOUNDS(i, size)                                                      \
-  do {                                                                                  \
-    (void)::ca5g::common::checked_index((i), static_cast<std::size_t>(size), #i);       \
-  } while (false)
 
 /// Closed-interval range check: lo <= v <= hi, printing all three on failure.
 #define CA5G_CHECK_IN_RANGE(v, lo, hi)                                                 \
@@ -197,13 +152,8 @@ constexpr std::size_t checked_index(Index i, std::size_t size,
 #define CA5G_DCHECK(cond) CA5G_CHECK(cond)
 #define CA5G_DCHECK_MSG(cond, msg) CA5G_CHECK_MSG(cond, msg)
 #define CA5G_DCHECK_EQ(a, b) CA5G_CHECK_EQ(a, b)
-#define CA5G_DCHECK_NE(a, b) CA5G_CHECK_NE(a, b)
-#define CA5G_DCHECK_LT(a, b) CA5G_CHECK_LT(a, b)
-#define CA5G_DCHECK_LE(a, b) CA5G_CHECK_LE(a, b)
 #define CA5G_DCHECK_GT(a, b) CA5G_CHECK_GT(a, b)
 #define CA5G_DCHECK_GE(a, b) CA5G_CHECK_GE(a, b)
-#define CA5G_DCHECK_NEAR(a, b, tol) CA5G_CHECK_NEAR(a, b, tol)
-#define CA5G_DCHECK_BOUNDS(i, size) CA5G_CHECK_BOUNDS(i, size)
 #define CA5G_DCHECK_IN_RANGE(v, lo, hi) CA5G_CHECK_IN_RANGE(v, lo, hi)
 #define CA5G_DCHECK_EQ_MSG(a, b, msg) CA5G_CHECK_EQ_MSG(a, b, msg)
 #define CA5G_DCHECK_LE_MSG(a, b, msg) CA5G_CHECK_LE_MSG(a, b, msg)
@@ -219,13 +169,8 @@ constexpr std::size_t checked_index(Index i, std::size_t size,
 #define CA5G_DCHECK(cond) CA5G_DCHECK_NOOP_(cond)
 #define CA5G_DCHECK_MSG(cond, msg) CA5G_DCHECK_NOOP_(cond)
 #define CA5G_DCHECK_EQ(a, b) CA5G_DCHECK_NOOP_((a) == (b))
-#define CA5G_DCHECK_NE(a, b) CA5G_DCHECK_NOOP_((a) != (b))
-#define CA5G_DCHECK_LT(a, b) CA5G_DCHECK_NOOP_((a) < (b))
-#define CA5G_DCHECK_LE(a, b) CA5G_DCHECK_NOOP_((a) <= (b))
 #define CA5G_DCHECK_GT(a, b) CA5G_DCHECK_NOOP_((a) > (b))
 #define CA5G_DCHECK_GE(a, b) CA5G_DCHECK_NOOP_((a) >= (b))
-#define CA5G_DCHECK_NEAR(a, b, tol) CA5G_DCHECK_NOOP_(std::abs((a) - (b)) <= (tol))
-#define CA5G_DCHECK_BOUNDS(i, size) CA5G_DCHECK_NOOP_((i) >= 0)
 #define CA5G_DCHECK_IN_RANGE(v, lo, hi) CA5G_DCHECK_NOOP_((lo) <= (v) && (v) <= (hi))
 #define CA5G_DCHECK_EQ_MSG(a, b, msg) CA5G_DCHECK_NOOP_((a) == (b))
 #define CA5G_DCHECK_LE_MSG(a, b, msg) CA5G_DCHECK_NOOP_((a) <= (b))

@@ -231,19 +231,6 @@ void matmul_a_bt(const float* a, const float* b, float* c, std::size_t m,
   matmul_tiled<Rule::kDotThenAdd>(Lhs{a, k, 1}, bt.data(), c, m, k, n);
 }
 
-void matmul_ab_naive(const float* a, const float* b, float* c, std::size_t m,
-                     std::size_t k, std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aval = a[i * k + kk];
-      if (aval == 0.0f) continue;
-      const float* brow = b + kk * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += aval * brow[j];
-    }
-  }
-}
-
 void add_inplace(float* y, const float* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] = y[i] + x[i];
 }

@@ -117,13 +117,6 @@ void matmul_at_b(const float* a, const float* b, float* c, std::size_t m,
 void matmul_a_bt(const float* a, const float* b, float* c, std::size_t m,
                  std::size_t k, std::size_t n);
 
-/// C += A·B with A (m×k), B (k×n) — the plain (i,k,j) loop with the
-/// zero-skip, kept as the naive reference matmul_ab must equal and as
-/// the baseline of bench_micro_runtime's blocked-vs-naive comparison.
-/// `c` must be zeroed (or hold the accumulation seed) by the caller.
-void matmul_ab_naive(const float* a, const float* b, float* c, std::size_t m,
-                     std::size_t k, std::size_t n);
-
 /// y[i] = y[i] + x[i] — the elementwise operator+ forward, and one
 /// pairwise fold step `acc + term`.
 void add_inplace(float* y, const float* x, std::size_t n);

@@ -82,6 +82,7 @@ void DeepPredictor::fit(const traces::Dataset& ds,
                         std::span<const traces::Window* const> train,
                         std::span<const traces::Window* const> val) {
   CA5G_CHECK_MSG(!train.empty(), "fit with empty training set");
+  const auto fit_start = std::chrono::steady_clock::now();
   horizon_ = ds.horizon();
 
   common::Rng rng(config_.seed);
@@ -155,6 +156,8 @@ void DeepPredictor::fit(const traces::Dataset& ds,
   if (!val.empty()) restore_parameters(best_params);
   plan_ = compile_plan();
   CA5G_CHECK_MSG(plan_ != nullptr, name() << " compiled no inference plan");
+  fit_seconds_ =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - fit_start).count();
 }
 
 nn::Tensor DeepPredictor::compute_loss(std::span<const traces::Window* const> batch) {

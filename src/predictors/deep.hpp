@@ -49,6 +49,8 @@ class DeepPredictor : public Predictor {
   [[nodiscard]] std::size_t best_epoch() const noexcept { return best_epoch_; }
   /// The most epochs a fit runs (TrainConfig::epochs).
   [[nodiscard]] std::size_t max_epochs() const noexcept { return config_.epochs; }
+  /// Wall-clock seconds the last fit took, from build() to its plan.
+  [[nodiscard]] double fit_seconds() const noexcept { return fit_seconds_; }
 
   /// All trainable parameters, sharing storage with the network; call
   /// after fit(). The order is fixed per model (the golden-model test
@@ -132,6 +134,7 @@ class DeepPredictor : public Predictor {
 
   std::vector<double> val_history_;
   std::size_t best_epoch_ = 0;
+  double fit_seconds_ = 0.0;
   std::unique_ptr<InferencePlan> plan_;
   bool fast_path_enabled_ = true;
 };

@@ -48,24 +48,23 @@ TEST(Contracts, ComparisonMacrosPrintBothOperands) {
   const std::string msg = message_of(+[] {
     const int mcs = 31;
     const int limit = 27;
-    CA5G_CHECK_LE(mcs, limit);
+    CA5G_CHECK_LE_MSG(mcs, limit, "MCS " << mcs << " past the table");
   });
   EXPECT_NE(msg.find("CA5G_CHECK_LE failed"), std::string::npos);
   EXPECT_NE(msg.find("mcs <= limit"), std::string::npos);
   EXPECT_NE(msg.find("[31 vs 27]"), std::string::npos);
+  EXPECT_NE(msg.find("MCS 31 past the table"), std::string::npos);
 }
 
 TEST(Contracts, ComparisonMacrosPassAndFailPerOperator) {
   EXPECT_NO_THROW(CA5G_CHECK_EQ(4, 4));
   EXPECT_THROW(CA5G_CHECK_EQ(4, 5), CheckError);
-  EXPECT_NO_THROW(CA5G_CHECK_NE(4, 5));
-  EXPECT_THROW(CA5G_CHECK_NE(4, 4), CheckError);
-  EXPECT_NO_THROW(CA5G_CHECK_LT(1, 2));
-  EXPECT_THROW(CA5G_CHECK_LT(2, 2), CheckError);
   EXPECT_NO_THROW(CA5G_CHECK_GE(2, 2));
   EXPECT_THROW(CA5G_CHECK_GE(1, 2), CheckError);
   EXPECT_NO_THROW(CA5G_CHECK_GT(3, 2));
   EXPECT_THROW(CA5G_CHECK_GT(2, 2), CheckError);
+  EXPECT_NO_THROW(CA5G_CHECK_LE_MSG(2, 2, ""));
+  EXPECT_THROW(CA5G_CHECK_LE_MSG(3, 2, ""), CheckError);
 }
 
 TEST(Contracts, OperandsEvaluatedExactlyOnce) {
@@ -73,13 +72,6 @@ TEST(Contracts, OperandsEvaluatedExactlyOnce) {
   auto next = [&calls] { return ++calls; };
   CA5G_CHECK_GE(next(), 1);
   EXPECT_EQ(calls, 1);
-}
-
-TEST(Contracts, NearChecksTolerance) {
-  EXPECT_NO_THROW(CA5G_CHECK_NEAR(1.0, 1.05, 0.1));
-  EXPECT_THROW(CA5G_CHECK_NEAR(1.0, 1.25, 0.1), CheckError);
-  const std::string msg = message_of(+[] { CA5G_CHECK_NEAR(1.0, 2.0, 0.5); });
-  EXPECT_NE(msg.find("tolerance"), std::string::npos);
 }
 
 TEST(Contracts, InRangeIsClosedInterval) {
@@ -93,25 +85,6 @@ TEST(Contracts, InRangeIsClosedInterval) {
   });
   EXPECT_NE(msg.find("99"), std::string::npos);
   EXPECT_NE(msg.find("[0, 15]"), std::string::npos);
-}
-
-TEST(Contracts, BoundsChecksHalfOpenAndSigned) {
-  EXPECT_NO_THROW(CA5G_CHECK_BOUNDS(0, 4));
-  EXPECT_NO_THROW(CA5G_CHECK_BOUNDS(3, 4));
-  EXPECT_THROW(CA5G_CHECK_BOUNDS(4, 4), CheckError);
-  EXPECT_THROW(CA5G_CHECK_BOUNDS(-1, 4), CheckError);
-}
-
-TEST(Contracts, CheckedIndexReturnsConvertedIndex) {
-  EXPECT_EQ(common::checked_index(3, 10), 3u);
-  EXPECT_THROW((void)common::checked_index(10, 10), CheckError);
-  EXPECT_THROW((void)common::checked_index(-2, 10, "mcs"), CheckError);
-  try {
-    (void)common::checked_index(-2, 10, "mcs");
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("mcs"), std::string::npos);
-  }
 }
 
 TEST(Contracts, DcheckMatchesBuildMode) {

@@ -145,6 +145,39 @@ TEST(BoundedQueue, CloseDrainsThenSignalsShutdown) {
   EXPECT_EQ(q.pop_batch(out, 4), 0u);  // drained
 }
 
+TEST(BoundedQueue, PushWakesASleepingConsumer) {
+  // A consumer sleeps in pop_batch on an empty queue; the push that makes
+  // the queue non-empty must wake it. Without that wake the consumer only
+  // returns at close(), so the wait below fails in 5 s instead of hanging.
+  serve::BoundedQueue<int> q(8);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<int> got;
+  bool returned = false;
+  std::thread consumer([&] {
+    std::vector<int> out;
+    q.pop_batch(out, 4);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      got = std::move(out);
+      returned = true;
+    }
+    cv.notify_all();
+  });
+  std::this_thread::sleep_for(20ms);  // let the consumer block
+  EXPECT_TRUE(q.try_push(7));
+
+  bool woke = false;
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    woke = cv.wait_for(lock, 5s, [&] { return returned; });
+  }
+  q.close();  // frees the consumer if the push did not wake it
+  consumer.join();
+  ASSERT_TRUE(woke) << "the consumer slept while an item was queued";
+  EXPECT_EQ(got, std::vector<int>{7});
+}
+
 TEST(BoundedQueue, PopThatLeavesItemsWakesAnotherConsumer) {
   // Two consumers sleep on an empty queue. A burst of two items wakes one
   // of them through try_push (only the empty-to-non-empty push wakes);

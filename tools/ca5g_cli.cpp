@@ -15,6 +15,7 @@
 // subcommand does not take, a flag without a value, or an enumerated
 // flag's unknown value exits 2.
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
@@ -260,21 +261,37 @@ int cmd_evaluate(int argc, char** argv) {
   report.kpi("test_rmse", rmse);
   std::cout << model->name() << " test RMSE (normalized): "
             << common::TextTable::num(rmse, 4) << "\n";
-  // How far a deep model's fit got: epochs run, the epoch whose weights
-  // it kept (1-based) and whether it ran to the epoch cap.
+  // How far a deep model's fit got and what it cost (paper §6.1): epochs
+  // run, the epoch whose weights it kept (1-based), whether it ran to the
+  // epoch cap, its wall time, and the mean compiled-plan time per window
+  // over the test set's micro-batches (the infer.window_ns histogram).
   if (const auto* deep = dynamic_cast<const predictors::DeepPredictor*>(model.get());
       deep != nullptr && !deep->val_history().empty()) {
     const auto& history = deep->val_history();
     const std::size_t best = deep->best_epoch();
     const bool at_cap = history.size() == deep->max_epochs();
+    const double ms_per_epoch =
+        1e3 * deep->fit_seconds() / static_cast<double>(history.size());
     std::cout << model->name() << " fit: " << history.size() << " of " << deep->max_epochs()
               << " epochs, best epoch " << best + 1 << " (validation RMSE "
               << common::TextTable::num(history[best], 4) << "), "
-              << (at_cap ? "ran to the epoch cap" : "stopped early") << "\n";
+              << (at_cap ? "ran to the epoch cap" : "stopped early") << ", "
+              << common::TextTable::num(deep->fit_seconds(), 2) << " s ("
+              << common::TextTable::num(ms_per_epoch, 1) << " ms per epoch)\n";
     report.kpi("fit_epochs_run", static_cast<double>(history.size()));
     report.kpi("fit_best_epoch", static_cast<double>(best + 1));
     report.kpi("fit_best_val_rmse", history[best]);
     report.kpi("fit_ran_to_epoch_cap", at_cap ? 1.0 : 0.0);
+    report.kpi("fit_wall_s", deep->fit_seconds());
+    report.kpi("fit_ms_per_epoch", ms_per_epoch);
+
+    const auto& window_ns = obs::MetricsRegistry::global().histogram("infer.window_ns");
+    const std::uint64_t plan_runs = window_ns.count();
+    const double us_per_window =
+        plan_runs == 0 ? 0.0 : window_ns.sum() / 1e3 / static_cast<double>(plan_runs);
+    std::cout << model->name() << " inference: " << common::TextTable::num(us_per_window, 1)
+              << " us per window (mean of " << plan_runs << " plan runs)\n";
+    report.kpi("infer_us_per_window", us_per_window);
   }
 
   export_telemetry(args, report);

@@ -27,13 +27,13 @@
 # equals predict_many(build_window) with no failed request (see
 # docs/SERVING.md); `offline_fleet` asserts on an optimized build that
 # the pooled fleet sweep hashes equal to serial re-runs and that the
-# compiled inference plan equals the graph. An inference fast-path smoke
-# then proves the compiled plans are bit-identical to the autograd
-# forward (`bench_infer_fastpath --equality-only`). A native-ISA stage
-# rebuilds the bit-exact suites with -march=native and reruns them: the
-# goldens, the pinned link budget table, the nn kernels against naive
-# loops and plan == graph must hold whatever the host's vector ISA, and
-# the stage prints whether the host has FMA (docs/TESTING.md). The
+# compiled inference plan equals the graph (every deep predictor's plan is
+# held bit-identical to its autograd forward by stage 1's
+# bench_infer_fastpath_smoke ctest). A native-ISA stage rebuilds the
+# bit-exact suites with -march=native and reruns them: the goldens, the
+# pinned link budget table, the nn kernels against naive loops and
+# plan == graph must hold whatever the host's vector ISA, and the stage
+# prints whether the host has FMA (docs/TESTING.md). The
 # unreached-symbol probe (tools/unreached_symbols.sh) then fails the run if
 # a library function that no shipped binary reaches is not on
 # tools/unreached_allowlist.txt.
@@ -116,12 +116,6 @@ assert r["failed"] == 0, f"perfbench {workload} failed {r['failed']} requests"
 print(f"{workload} check OK: attempted={r['attempted']}, failed=0, correct")
 EOF
 done
-
-# --- 1d. Inference fast-path smoke: compiled plans must match the graph -----
-# Bit-identity between the compiled inference plans and the autograd
-# forward for every deep predictor, without the timing loops (the ≥3x
-# speedup gate runs as the bench_infer_fastpath_smoke ctest in stage 1).
-run ./build-ci-release/bench/bench_infer_fastpath --equality-only
 
 # --- 1e. Native-ISA bit-exact stage ----------------------------------------
 # -march=native turns on whatever the host has (FMA, AVX2, AVX-512...). The
