@@ -11,13 +11,15 @@
 //     stay valid until reset()). One arena per thread via
 //     thread_arena().
 //   * Kernels — raw float entry points (matmul, add, bias-add,
-//     tanh/sigmoid/relu, concat, slice, softmax, rowwise-dot,
-//     col-broadcast) that write into caller buffers and never construct
-//     detail::Node. They are the only forward code for these ops: the
-//     autograd Tensor ops call them for their values (and the matmul
-//     backward calls the matmul products), so the graph and the plans
-//     cannot drift apart. Tests compare every kernel with naive scalar
-//     loops written in the test, bit for bit, not with a tolerance.
+//     tanh/sigmoid/relu, concat, slice, col-broadcast) that write into
+//     caller buffers and never construct detail::Node. They are the only
+//     forward code for these ops: the autograd Tensor ops call them for
+//     their values (and the matmul backward calls the matmul products),
+//     so the graph and the plans cannot drift apart. The matmul products,
+//     tanh and sigmoid are built at two SIMD widths, and active_kernels()
+//     is the one dispatch point that picks a width, once per process.
+//     Tests compare every kernel, at each width, with naive scalar loops
+//     and with libm, bit for bit, not with a tolerance.
 //   * Packed modules — PackedLinear/PackedMlp/PackedLstm/PackedConv1d
 //     snapshot a layer's weights once at plan-compile time into flat
 //     contiguous buffers for matmul_xw. Plans are immutable after
@@ -84,13 +86,42 @@ class Arena {
 
 // --- Kernels -----------------------------------------------------------------
 //
-// The matmul products are register-tiled SIMD kernels (GCC/Clang
-// vector extension; eight vector accumulators per tile: 4 rows × 8
-// columns, or up to 32 columns when fewer rows remain). Lanes run across output columns, never
-// along the dot, so each output element sees the scalar loop's exact
-// float operations in the same order; the per-kernel notes state that
-// order. The bit-identity needs -ffp-contract=off, which every target
-// that builds src/ compiles with (docs/TESTING.md).
+// The matmul products are register-tiled SIMD kernels (GCC/Clang vector
+// extension, no intrinsics; eight vector accumulators per tile: 4 rows ×
+// 2 vectors, or up to 8 vectors when fewer rows remain). Lanes run across
+// output columns, never along the dot, so each output element sees the
+// scalar loop's exact float operations in the same order; the per-kernel
+// notes state that order. tanh and sigmoid are lane-wise ports of the
+// algorithms behind libm's tanhf and expf, and equal libm on every float
+// input; libm is the oracle they are swept against. The bit-identity
+// needs -ffp-contract=off, which every target that builds src/ compiles
+// with (docs/TESTING.md).
+//
+// These kernels exist at two widths, 4 lanes (SSE2, any x86-64 host) and
+// 8 lanes (AVX2). Both compute the same bits. The free functions below run
+// active_kernels(), the one runtime ISA dispatch point.
+
+/// One width's build of the kernels a forward spends its time in. Each
+/// member behaves exactly like the free function of the same name.
+struct KernelFamily {
+  std::size_t lanes;  ///< floats per vector: 4 (SSE2) or 8 (AVX2)
+  void (*matmul_ab)(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
+                    std::size_t n);
+  void (*matmul_at_b)(const float* a, const float* b, float* c, std::size_t m,
+                      std::size_t k, std::size_t n);
+  void (*matmul_a_bt)(const float* a, const float* b, float* c, std::size_t m,
+                      std::size_t k, std::size_t n);
+  void (*tanh_inplace)(float* x, std::size_t n);
+  void (*sigmoid_inplace)(float* x, std::size_t n);
+};
+
+/// The family of `lanes` lanes (4 or 8), or nullptr when this host cannot
+/// run it: 8 lanes need AVX2.
+[[nodiscard]] const KernelFamily* kernel_family(std::size_t lanes);
+
+/// The family the free functions run: the widest this host supports,
+/// picked once per process from the CPU (no flag or variable chooses it).
+[[nodiscard]] const KernelFamily& active_kernels();
 
 /// y = x·W (+ bias broadcast when non-null) with W row-major (in × out),
 /// the autograd Linear's layout: y is zeroed, matmul_ab accumulates
@@ -125,8 +156,9 @@ void add_inplace(float* y, const float* x, std::size_t n);
 void add_row_bias_inplace(float* y, const float* bias, std::size_t rows,
                           std::size_t cols);
 
-/// The activation forwards, in place: libm tanh, 1 / (1 + exp(−x)),
-/// and x > 0 ? x : 0.
+/// The activation forwards, in place: tanh, 1 / (1 + exp(−x)) in float
+/// and x > 0 ? x : 0, each bit for bit what the scalar expression with
+/// libm's tanhf and expf gives.
 void tanh_inplace(float* x, std::size_t n);
 void sigmoid_inplace(float* x, std::size_t n);
 void relu_inplace(float* x, std::size_t n);

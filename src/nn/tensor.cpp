@@ -109,12 +109,6 @@ std::size_t Tensor::cols() const {
   return node_->cols;
 }
 
-float Tensor::at(std::size_t r, std::size_t c) const {
-  check_defined(*this, "at()");
-  CA5G_CHECK_MSG(r < node_->rows && c < node_->cols, "index out of range");
-  return node_->values[r * node_->cols + c];
-}
-
 void Tensor::set(std::size_t r, std::size_t c, float value) {
   check_defined(*this, "set()");
   CA5G_CHECK_MSG(r < node_->rows && c < node_->cols, "index out of range");

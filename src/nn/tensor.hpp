@@ -55,7 +55,6 @@ class Tensor {
   [[nodiscard]] std::size_t cols() const;
   [[nodiscard]] std::size_t size() const { return rows() * cols(); }
 
-  [[nodiscard]] float at(std::size_t r, std::size_t c) const;
   /// Mutable access — only sensible on leaf tensors before use in a graph.
   void set(std::size_t r, std::size_t c, float value);
 

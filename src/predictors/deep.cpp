@@ -124,19 +124,23 @@ void DeepPredictor::fit(const traces::Dataset& ds,
       optimizer.step();
     }
 
-    // Validation RMSE for model selection.
+    // Validation RMSE for model selection, from the raw (unclamped)
+    // output of a plan compiled from this epoch's weights: the same bits
+    // as forward_batch(training=false), without building a graph.
     double val_rmse = 0.0;
     if (!val.empty()) {
+      const auto plan = compile_plan();
+      nn::infer::Arena& arena = nn::infer::thread_arena();
       double sq = 0.0;
       std::size_t count = 0;
       for (std::size_t start = 0; start < val.size(); start += config_.batch_size) {
-        const std::size_t end = std::min(val.size(), start + config_.batch_size);
-        std::vector<const traces::Window*> batch(val.begin() + static_cast<std::ptrdiff_t>(start),
-                                                 val.begin() + static_cast<std::ptrdiff_t>(end));
-        const nn::Tensor pred = forward_batch(batch, /*training=*/false);
+        const auto batch = val.subspan(start, std::min(config_.batch_size, val.size() - start));
+        arena.reset();
+        float* pred = arena.alloc(batch.size() * horizon_);
+        plan->run(batch, arena, pred);
         for (std::size_t b = 0; b < batch.size(); ++b)
           for (std::size_t h = 0; h < horizon_; ++h) {
-            const double d = pred.at(b, h) - batch[b]->target[h];
+            const double d = pred[b * horizon_ + h] - batch[b]->target[h];
             sq += d * d;
             ++count;
           }

@@ -81,8 +81,9 @@ class DeepPredictor : public Predictor {
 
  protected:
   /// Compile this model's plan from the current weights, after build().
-  /// fit() compiles it last and CHECKs that it got one, so plans never
-  /// go stale: weights only change through fit().
+  /// fit() compiles one per validation pass to score that epoch's
+  /// weights, and one last, which it keeps after CHECKing that it got
+  /// one, so plans never go stale: weights only change through fit().
   [[nodiscard]] virtual std::unique_ptr<InferencePlan> compile_plan() const = 0;
 
   /// Construct layers for the dataset's dimensions.

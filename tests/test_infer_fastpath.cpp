@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <ios>
 #include <iterator>
 #include <limits>
 #include <span>
@@ -232,18 +233,21 @@ void expect_zero_row_kept(const MatmulCase& mc, const std::vector<float>& ref) {
   ASSERT_TRUE(std::signbit(*row) && *row == 0.0f);
 }
 
-TEST(InferKernels, MatmulAbMatchesNaiveLoops) {
-  for_each_shape([](const MatmulCase& mc) {
+using MatmulFn = void (*)(const float*, const float*, float*, std::size_t, std::size_t,
+                          std::size_t);
+
+void expect_ab_matches_naive(MatmulFn matmul_ab) {
+  for_each_shape([&](const MatmulCase& mc) {
     const auto ref = naive_ab(mc.a_rows, mc.b, mc.c, mc.rows, mc.inner, mc.cols);
     expect_zero_row_kept(mc, ref);
     auto c = mc.c;
-    infer::matmul_ab(mc.a_rows.data(), mc.b.data(), c.data(), mc.rows, mc.inner, mc.cols);
+    matmul_ab(mc.a_rows.data(), mc.b.data(), c.data(), mc.rows, mc.inner, mc.cols);
     EXPECT_EQ(bits(c), bits(ref));
   });
 }
 
-TEST(InferKernels, MatmulAtBMatchesNaiveLoops) {
-  for_each_shape([](const MatmulCase& mc) {
+void expect_at_b_matches_naive(MatmulFn matmul_at_b) {
+  for_each_shape([&](const MatmulCase& mc) {
     // A stored (inner × rows): the transpose of the case's left factor.
     std::vector<float> a(mc.inner * mc.rows);
     for (std::size_t i = 0; i < mc.rows; ++i)
@@ -252,13 +256,13 @@ TEST(InferKernels, MatmulAtBMatchesNaiveLoops) {
     const auto ref = naive_at_b(a, mc.b, mc.c, mc.rows, mc.inner, mc.cols);
     expect_zero_row_kept(mc, ref);
     auto c = mc.c;
-    infer::matmul_at_b(a.data(), mc.b.data(), c.data(), mc.inner, mc.rows, mc.cols);
+    matmul_at_b(a.data(), mc.b.data(), c.data(), mc.inner, mc.rows, mc.cols);
     EXPECT_EQ(bits(c), bits(ref));
   });
 }
 
-TEST(InferKernels, MatmulABtMatchesNaiveLoops) {
-  for_each_shape([](const MatmulCase& mc) {
+void expect_a_bt_matches_naive(MatmulFn matmul_a_bt) {
+  for_each_shape([&](const MatmulCase& mc) {
     // B stored (cols × inner), so the inf meets a zero of A with no skip.
     std::vector<float> b(mc.cols * mc.inner);
     for (std::size_t p = 0; p < mc.inner; ++p)
@@ -266,9 +270,20 @@ TEST(InferKernels, MatmulABtMatchesNaiveLoops) {
     const auto ref = naive_a_bt(mc.a_rows, b, mc.c, mc.rows, mc.inner, mc.cols);
     ASSERT_FALSE(all_finite(ref)) << "0·inf must reach the dot unskipped";
     auto c = mc.c;
-    infer::matmul_a_bt(mc.a_rows.data(), b.data(), c.data(), mc.rows, mc.inner, mc.cols);
+    matmul_a_bt(mc.a_rows.data(), b.data(), c.data(), mc.rows, mc.inner, mc.cols);
     EXPECT_EQ(bits(c), bits(ref));
   });
+}
+
+// The free functions run the width this host picked.
+TEST(InferKernels, MatmulAbMatchesNaiveLoops) { expect_ab_matches_naive(infer::matmul_ab); }
+
+TEST(InferKernels, MatmulAtBMatchesNaiveLoops) {
+  expect_at_b_matches_naive(infer::matmul_at_b);
+}
+
+TEST(InferKernels, MatmulABtMatchesNaiveLoops) {
+  expect_a_bt_matches_naive(infer::matmul_a_bt);
 }
 
 /// y = x·W from a zero seed, with and without the bias row added after
@@ -423,6 +438,150 @@ TEST(InferKernels, ShapeOpsMatchGraphOps) {
     const nn::Tensor part_tensors[] = {a, col, b};
     EXPECT_EQ(bits(nn::concat_cols(part_tensors).values()), bits(cat_ref));
   });
+}
+
+// --- Each kernel width, called directly ---------------------------------------
+//
+// The process runs one width (active_kernels()), so the free-function
+// tests above see only that one. These call each width's family itself:
+// the matmul products against the naive loops, and tanh and sigmoid
+// against libm on a strided sweep of all 2^32 bit patterns and on every
+// float within 64 ulps of a branch boundary of the ports (and of the libm
+// code they reproduce), rare lanes mixed into full vectors. The full
+// 2^32 sweep is `bench_infer_fastpath --exhaustive` (tools/ci.sh).
+
+float libm_tanh(float x) { return std::tanh(x); }
+float libm_sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+
+/// Every float within 64 ulps of a boundary, of both signs. The
+/// boundaries are those of the tanh port's argument, and of expm1's
+/// argument 2|x| (so at half its value): the tiny, ½·ln2, 1.5·ln2 and
+/// 27·ln2 reductions, the k = 2/3, 22/23 and 56/57 reconstructions, and
+/// 88.72; those of sigmoid's |x| < 32 and of expf's 88, 88.72, 103.28 and
+/// 103.97; and ±0, the denormals' edges, the largest float, ±inf and the
+/// NaNs next to it.
+std::vector<float> boundary_inputs() {
+  const float ln2 = 0.693147182f;
+  const float edges[] = {0.0f,
+                         std::numeric_limits<float>::denorm_min(),
+                         std::bit_cast<float>(0x007fffffu),
+                         std::numeric_limits<float>::min(),
+                         0x1p-55f,
+                         0x1p-26f,
+                         0x1p-25f,
+                         ln2 / 4,
+                         ln2 / 2,
+                         0.75f * ln2,
+                         1.25f * ln2,
+                         1.5f * ln2,
+                         1.0f,
+                         2.0f,
+                         11.25f * ln2,
+                         22.5f * ln2,
+                         13.5f * ln2,
+                         27.0f * ln2,
+                         22.0f,
+                         28.25f * ln2,
+                         56.5f * ln2,
+                         32.0f,
+                         44.3608f,
+                         88.0f,
+                         88.7216797f,
+                         103.278931f,
+                         103.972618f,
+                         std::numeric_limits<float>::max(),
+                         kInf};
+  std::vector<float> out;
+  for (const float edge : edges) {
+    const std::int64_t mid = std::bit_cast<std::uint32_t>(edge);
+    for (std::int64_t m = std::max<std::int64_t>(0, mid - 64);
+         m <= std::min<std::int64_t>(0x7fffffff, mid + 64); ++m) {
+      out.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(m)));
+      out.push_back(-out.back());
+    }
+  }
+  return out;
+}
+
+/// Boundary values, each followed by three ordinary ones (so most vectors
+/// mix ported and libm lanes), then a strided sweep of the 2^32 patterns.
+std::vector<float> activation_inputs() {
+  common::Rng rng(13);
+  std::vector<float> out;
+  for (const float x : boundary_inputs()) {
+    out.push_back(x);
+    for (int i = 0; i < 3; ++i) out.push_back(static_cast<float>(rng.normal(0.0, 2.0)));
+  }
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 8191)
+    out.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(b)));
+  return out;
+}
+
+/// `kernel` over the inputs equals `oracle` bit for bit, whether it gets
+/// them in one call or in calls of every length from 1 to 2·lanes + 3 (so
+/// every tail shape runs).
+void expect_matches_oracle(void (*kernel)(float*, std::size_t), float (*oracle)(float),
+                           std::size_t lanes) {
+  const auto xs = activation_inputs();
+  auto whole = xs;
+  kernel(whole.data(), whole.size());
+  auto pieces = xs;
+  for (std::size_t pos = 0, len = 1; pos < pieces.size();
+       pos += len, len = len % (2 * lanes + 3) + 1)
+    kernel(pieces.data() + pos, std::min(len, pieces.size() - pos));
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const auto want = std::bit_cast<std::uint32_t>(oracle(xs[i]));
+    for (const float got : {whole[i], pieces[i]}) {
+      if (std::bit_cast<std::uint32_t>(got) == want) continue;
+      if (++mismatches <= 5)
+        ADD_FAILURE() << "x = " << std::hexfloat << xs[i] << " (bits 0x" << std::hex
+                      << std::bit_cast<std::uint32_t>(xs[i]) << "): kernel 0x"
+                      << std::bit_cast<std::uint32_t>(got) << ", libm 0x" << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << 2 * xs.size() << " results";
+}
+
+class InferKernelsAtWidth : public testing::TestWithParam<std::size_t> {
+ protected:
+  void SetUp() override {
+    family_ = infer::kernel_family(GetParam());
+    if (family_ == nullptr)
+      GTEST_SKIP() << "the " << GetParam() << "-lane kernels need AVX2, which this host lacks";
+    ASSERT_EQ(family_->lanes, GetParam());
+  }
+  const infer::KernelFamily* family_ = nullptr;
+};
+
+TEST_P(InferKernelsAtWidth, MatmulAbMatchesNaiveLoops) {
+  expect_ab_matches_naive(family_->matmul_ab);
+}
+
+TEST_P(InferKernelsAtWidth, MatmulAtBMatchesNaiveLoops) {
+  expect_at_b_matches_naive(family_->matmul_at_b);
+}
+
+TEST_P(InferKernelsAtWidth, MatmulABtMatchesNaiveLoops) {
+  expect_a_bt_matches_naive(family_->matmul_a_bt);
+}
+
+TEST_P(InferKernelsAtWidth, TanhMatchesLibm) {
+  expect_matches_oracle(family_->tanh_inplace, libm_tanh, GetParam());
+}
+
+TEST_P(InferKernelsAtWidth, SigmoidMatchesLibm) {
+  expect_matches_oracle(family_->sigmoid_inplace, libm_sigmoid, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, InferKernelsAtWidth,
+                         testing::Values(std::size_t{4}, std::size_t{8}),
+                         testing::PrintToStringParamName());
+
+TEST(InferKernels, ActiveWidthIsTheWidestTheHostRuns) {
+  EXPECT_EQ(infer::active_kernels().lanes, infer::kernel_family(8) != nullptr ? 8u : 4u);
+  ASSERT_NE(infer::kernel_family(4), nullptr);
+  EXPECT_EQ(infer::kernel_family(3), nullptr);
 }
 
 // --- Plan vs graph: every DeepPredictor subclass -----------------------------

@@ -12,6 +12,11 @@ namespace {
 using namespace ca5g::nn;
 using ca5g::common::Rng;
 
+/// Element (r, c) of a tensor's row-major values.
+float at(const Tensor& t, std::size_t r, std::size_t c) {
+  return t.values().at(r * t.cols() + c);
+}
+
 TEST(Linear, ForwardShapeAndBias) {
   Rng rng(1);
   Linear layer(rng, 3, 2);
@@ -21,7 +26,7 @@ TEST(Linear, ForwardShapeAndBias) {
   EXPECT_EQ(y.cols(), 2u);
   // Zero input → bias only, and bias starts at zero.
   for (std::size_t r = 0; r < 4; ++r)
-    for (std::size_t c = 0; c < 2; ++c) EXPECT_FLOAT_EQ(y.at(r, c), 0.0f);
+    for (std::size_t c = 0; c < 2; ++c) EXPECT_FLOAT_EQ(at(y, r, c), 0.0f);
   EXPECT_THROW(layer.forward(Tensor::zeros(4, 5)), ca5g::common::CheckError);
 }
 
@@ -46,8 +51,8 @@ TEST(LstmCell, StateShapesAndGateSanity) {
   for (std::size_t r = 0; r < 2; ++r)
     for (std::size_t c = 0; c < 5; ++c) {
       // h = o · tanh(c) is bounded in (-1, 1).
-      EXPECT_GT(next.h.at(r, c), -1.0f);
-      EXPECT_LT(next.h.at(r, c), 1.0f);
+      EXPECT_GT(at(next.h, r, c), -1.0f);
+      EXPECT_LT(at(next.h, r, c), 1.0f);
     }
 }
 
@@ -56,7 +61,7 @@ TEST(LstmCell, ZeroInputZeroStateGivesNearZeroOutput) {
   LstmCell cell(rng, 2, 3);
   const auto next = cell.step(Tensor::zeros(1, 2), cell.zero_state(1));
   // g = tanh(0) = 0 → c = 0 → h = 0 (exactly, given zero bias on g).
-  for (std::size_t c = 0; c < 3; ++c) EXPECT_NEAR(next.h.at(0, c), 0.0f, 1e-6);
+  for (std::size_t c = 0; c < 3; ++c) EXPECT_NEAR(at(next.h, 0, c), 0.0f, 1e-6);
 }
 
 TEST(Lstm, SequenceProcessing) {
@@ -89,7 +94,7 @@ TEST(Lstm, StateDependsOnHistory) {
   const auto ha = lstm.last_hidden(seq_a);
   const auto hb = lstm.last_hidden(seq_b);
   double diff = 0.0;
-  for (std::size_t c = 0; c < 4; ++c) diff += std::abs(ha.at(0, c) - hb.at(0, c));
+  for (std::size_t c = 0; c < 4; ++c) diff += std::abs(at(ha, 0, c) - at(hb, 0, c));
   EXPECT_GT(diff, 1e-4);  // memory of the first step persists
 }
 
@@ -106,7 +111,7 @@ TEST(Lstm, FinalStatesAndStepWithStates) {
   std::vector<Tensor> full{seq[0], seq[1], x3};
   const auto direct = lstm.last_hidden(full);
   for (std::size_t c = 0; c < 4; ++c)
-    EXPECT_NEAR(continued.at(0, c), direct.at(0, c), 1e-6);
+    EXPECT_NEAR(at(continued, 0, c), at(direct, 0, c), 1e-6);
 }
 
 TEST(CausalConv1d, CausalityHolds) {
@@ -120,11 +125,11 @@ TEST(CausalConv1d, CausalityHolds) {
   const auto perturbed = conv.forward(seq);
   for (std::size_t t = 0; t + 1 < seq.size(); ++t)
     for (std::size_t c = 0; c < 3; ++c)
-      EXPECT_FLOAT_EQ(base[t].at(0, c), perturbed[t].at(0, c));
+      EXPECT_FLOAT_EQ(at(base[t], 0, c), at(perturbed[t], 0, c));
   // The final output must change.
   double diff = 0.0;
   for (std::size_t c = 0; c < 3; ++c)
-    diff += std::abs(base[5].at(0, c) - perturbed[5].at(0, c));
+    diff += std::abs(at(base[5], 0, c) - at(perturbed[5], 0, c));
   EXPECT_GT(diff, 1e-4);
 }
 
@@ -138,7 +143,7 @@ TEST(CausalConv1d, DilationExtendsReach) {
   const auto perturbed = conv.forward(seq);
   // Influence lands at exactly t=2 and t=5.
   for (std::size_t t = 0; t < 8; ++t) {
-    const double delta = std::abs(base[t].at(0, 0) - perturbed[t].at(0, 0));
+    const double delta = std::abs(at(base[t], 0, 0) - at(perturbed[t], 0, 0));
     if (t == 2 || t == 5)
       EXPECT_GT(delta, 1e-5) << "t=" << t;
     else

@@ -12,6 +12,11 @@ namespace {
 using namespace ca5g::nn;
 using ca5g::common::Rng;
 
+/// Element (r, c) of a tensor's row-major values.
+float at(const Tensor& t, std::size_t r, std::size_t c) {
+  return t.values().at(r * t.cols() + c);
+}
+
 TEST(Adam, MinimizesQuadratic) {
   // Minimize ||x - 3||² over a 2×2 parameter.
   Tensor x(2, 2, true);
@@ -54,7 +59,7 @@ TEST(Adam, TrainsTinyRegressionNet) {
   Tensor probe(1, 2);
   probe.set(0, 0, 0.5f);
   probe.set(0, 1, -0.25f);
-  EXPECT_NEAR(layer.forward(probe).at(0, 0), 1.25f, 0.05f);
+  EXPECT_NEAR(at(layer.forward(probe), 0, 0), 1.25f, 0.05f);
 }
 
 TEST(Adam, GradientClippingBoundsUpdates) {

@@ -29,6 +29,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "eval/pipeline.hpp"
+#include "nn/infer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "predictors/deep.hpp"
@@ -264,7 +265,8 @@ int cmd_evaluate(int argc, char** argv) {
   // How far a deep model's fit got and what it cost (paper §6.1): epochs
   // run, the epoch whose weights it kept (1-based), whether it ran to the
   // epoch cap, its wall time, and the mean compiled-plan time per window
-  // over the test set's micro-batches (the infer.window_ns histogram).
+  // over the test set's micro-batches (the infer.window_ns histogram),
+  // with the SIMD width of the nn::infer kernels that ran the plan.
   if (const auto* deep = dynamic_cast<const predictors::DeepPredictor*>(model.get());
       deep != nullptr && !deep->val_history().empty()) {
     const auto& history = deep->val_history();
@@ -289,9 +291,12 @@ int cmd_evaluate(int argc, char** argv) {
     const std::uint64_t plan_runs = window_ns.count();
     const double us_per_window =
         plan_runs == 0 ? 0.0 : window_ns.sum() / 1e3 / static_cast<double>(plan_runs);
+    const std::size_t lanes = nn::infer::active_kernels().lanes;
     std::cout << model->name() << " inference: " << common::TextTable::num(us_per_window, 1)
-              << " us per window (mean of " << plan_runs << " plan runs)\n";
+              << " us per window (mean of " << plan_runs << " plan runs, " << lanes
+              << "-lane kernels)\n";
     report.kpi("infer_us_per_window", us_per_window);
+    report.kpi("infer_kernel_lanes", static_cast<double>(lanes));
   }
 
   export_telemetry(args, report);

@@ -3,6 +3,8 @@
 # every change must keep green:
 #
 #   1. Release with -Werror            (fast, what benchmarks run as)
+#  1d. the same Release tree           (tanh and sigmoid against libm on
+#                                       all 2^32 inputs, every lane width)
 #  1e. Release, -Werror, -march=native (only the bit-exact suites: the
 #                                       goldens, the nn kernels and
 #                                       plan == graph)
@@ -29,7 +31,8 @@
 # the pooled fleet sweep hashes equal to serial re-runs and that the
 # compiled inference plan equals the graph (every deep predictor's plan is
 # held bit-identical to its autograd forward by stage 1's
-# bench_infer_fastpath_smoke ctest). A native-ISA stage rebuilds the
+# bench_infer_fastpath_smoke ctest). An exhaustive stage holds the tanh and
+# sigmoid kernels to libm on every float input. A native-ISA stage rebuilds the
 # bit-exact suites with -march=native and reruns them: the goldens, the
 # pinned link budget table, the nn kernels against naive loops and
 # plan == graph must hold whatever the host's vector ISA, and the stage
@@ -116,6 +119,17 @@ assert r["failed"] == 0, f"perfbench {workload} failed {r['failed']} requests"
 print(f"{workload} check OK: attempted={r['attempted']}, failed=0, correct")
 EOF
 done
+
+# --- 1d. Exhaustive activation sweep ----------------------------------------
+# The tanh and sigmoid kernels are lane-wise ports of the algorithms behind
+# libm's tanhf and expf, built at 4 lanes and, on an AVX2 host, 8
+# (src/nn/infer.cpp). Feed all 2^32 float bit patterns through both kernels
+# at every width the host runs, on the thread pool, and fail on any result
+# that differs from libm's bit for bit. About a minute on 4 threads of a 4-vCPU
+# VM; the stage prints its wall time.
+SWEEP_START=$SECONDS
+run ./build-ci-release/bench/bench_infer_fastpath --exhaustive
+echo "ci.sh: exhaustive activation sweep took $((SECONDS - SWEEP_START)) s" >&2
 
 # --- 1e. Native-ISA bit-exact stage ----------------------------------------
 # -march=native turns on whatever the host has (FMA, AVX2, AVX-512...). The
