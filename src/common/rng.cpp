@@ -6,9 +6,7 @@
 namespace ca5g::common {
 namespace {
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
+using detail::rotl;
 
 /// SplitMix64 — used only to expand a seed into xoshiro state.
 constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
@@ -25,36 +23,13 @@ Rng::Rng(std::uint64_t seed) noexcept {
   for (auto& word : s_) word = splitmix64(sm);
 }
 
-std::uint64_t Rng::next_u64() noexcept {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 random mantissa bits → uniform in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) noexcept { return lo + (hi - lo) * uniform(); }
-
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   if (hi <= lo) return lo;
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(next_u64() % span);
 }
 
-double Rng::normal() noexcept {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
-  }
+double Rng::normal_pair() noexcept {
   double u1 = uniform();
   while (u1 <= 0.0) u1 = uniform();
   const double u2 = uniform();
@@ -64,10 +39,6 @@ double Rng::normal() noexcept {
   has_cached_normal_ = true;
   return r * std::cos(theta);
 }
-
-double Rng::normal(double mean, double stddev) noexcept { return mean + stddev * normal(); }
-
-bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
 Rng Rng::substream(std::uint64_t stream_id) const noexcept {
   // Collapse the 256-bit state to one word, mix in the stream id, and

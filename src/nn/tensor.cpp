@@ -72,6 +72,32 @@ void check_defined(const Tensor& t, const char* what) {
   CA5G_CHECK_MSG(t.defined(), "undefined tensor passed to " << what);
 }
 
+// Gradient accumulation over a rows × cols grid, rows ascending, so every
+// gradient element sums its terms in row order. A dst_stride of 0 sums
+// the rows into one (the broadcast operand's gradient).
+
+/// dst[r·dst_stride + c] += src[r·src_stride + c].
+void add_grid(float* __restrict dst, std::size_t dst_stride, const float* __restrict src,
+              std::size_t src_stride, std::size_t rows, std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* __restrict d = dst + r * dst_stride;
+    const float* __restrict g = src + r * src_stride;
+    for (std::size_t c = 0; c < cols; ++c) d[c] += g[c];
+  }
+}
+
+/// dst[r·dst_stride + c] += grad[r·cols + c] · x[r·x_stride + c].
+void mul_grid(float* __restrict dst, std::size_t dst_stride, const float* __restrict grad,
+              const float* __restrict x, std::size_t x_stride, std::size_t rows,
+              std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* __restrict d = dst + r * dst_stride;
+    const float* __restrict g = grad + r * cols;
+    const float* __restrict xr = x + r * x_stride;
+    for (std::size_t c = 0; c < cols; ++c) d[c] += g[c] * xr[c];
+  }
+}
+
 }  // namespace
 
 Tensor::Tensor(std::size_t rows, std::size_t cols, bool requires_grad)
@@ -235,24 +261,23 @@ Tensor operator+(const Tensor& a, const Tensor& b) {
   const bool broadcast = b.rows() == 1 && a.rows() != 1 && a.cols() == b.cols();
   CA5G_CHECK_MSG(broadcast || (a.rows() == b.rows() && a.cols() == b.cols()),
                  "operator+ shape mismatch");
-  const std::size_t n = a.cols();
+  const std::size_t rows = a.rows(), n = a.cols();
   auto out = copy_result(a, {a.node(), b.node()});
   if (broadcast)
-    infer::add_row_bias_inplace(out->values.data(), b.values().data(), a.rows(), n);
+    infer::add_row_bias_inplace(out->values.data(), b.values().data(), rows, n);
   else
     infer::add_inplace(out->values.data(), b.values().data(), out->values.size());
   if (out->requires_grad) {
-    out->backward_fn = [broadcast, n](Node& self) {
+    out->backward_fn = [broadcast, rows, n](Node& self) {
       Node& pa = *self.parents[0];
       Node& pb = *self.parents[1];
       if (pa.requires_grad) {
         pa.ensure_grad();
-        for (std::size_t i = 0; i < self.grad.size(); ++i) pa.grad[i] += self.grad[i];
+        add_grid(pa.grad.data(), n, self.grad.data(), n, rows, n);
       }
       if (pb.requires_grad) {
         pb.ensure_grad();
-        for (std::size_t i = 0; i < self.grad.size(); ++i)
-          pb.grad[broadcast ? i % n : i] += self.grad[i];
+        add_grid(pb.grad.data(), broadcast ? 0 : n, self.grad.data(), n, rows, n);
       }
     };
   }
@@ -294,22 +319,21 @@ Tensor operator*(const Tensor& a, const Tensor& b) {
   auto out = make_result(a.rows(), a.cols(), {a.node(), b.node()});
   const float* av = a.values().data();
   const float* bv = b.values().data();
-  const std::size_t n = a.cols();
+  const std::size_t rows = a.rows(), n = a.cols();
   for (std::size_t i = 0; i < out->values.size(); ++i)
     out->values[i] = av[i] * (broadcast ? bv[i % n] : bv[i]);
   if (out->requires_grad) {
-    out->backward_fn = [broadcast, n](Node& self) {
+    out->backward_fn = [broadcast, rows, n](Node& self) {
       Node& pa = *self.parents[0];
       Node& pb = *self.parents[1];
+      const std::size_t b_stride = broadcast ? 0 : n;
       if (pa.requires_grad) {
         pa.ensure_grad();
-        for (std::size_t i = 0; i < self.grad.size(); ++i)
-          pa.grad[i] += self.grad[i] * (broadcast ? pb.values[i % n] : pb.values[i]);
+        mul_grid(pa.grad.data(), n, self.grad.data(), pb.values.data(), b_stride, rows, n);
       }
       if (pb.requires_grad) {
         pb.ensure_grad();
-        for (std::size_t i = 0; i < self.grad.size(); ++i)
-          pb.grad[broadcast ? i % n : i] += self.grad[i] * pa.values[i];
+        mul_grid(pb.grad.data(), b_stride, self.grad.data(), pa.values.data(), n, rows, n);
       }
     };
   }
@@ -344,8 +368,11 @@ Tensor unary_op(const Tensor& a, void (*fwd)(float*, std::size_t), Dfn dfn,
     out->backward_fn = [dfn](Node& self) {
       Node& pa = *self.parents[0];
       pa.ensure_grad();
-      for (std::size_t i = 0; i < self.grad.size(); ++i)
-        pa.grad[i] += self.grad[i] * dfn(pa.values[i], self.values[i]);
+      float* __restrict ga = pa.grad.data();
+      const float* __restrict g = self.grad.data();
+      const float* __restrict x = pa.values.data();
+      const float* __restrict y = self.values.data();
+      for (std::size_t i = 0; i < self.grad.size(); ++i) ga[i] += g[i] * dfn(x[i], y[i]);
     };
   }
   return Tensor(out);
@@ -395,9 +422,8 @@ Tensor concat_cols(std::span<const Tensor> parts) {
         const std::size_t pc = parent->cols;
         if (parent->requires_grad) {
           parent->ensure_grad();
-          for (std::size_t r = 0; r < rows; ++r)
-            for (std::size_t c = 0; c < pc; ++c)
-              parent->grad[r * pc + c] += self.grad[r * total_cols + grad_offset + c];
+          add_grid(parent->grad.data(), pc, self.grad.data() + grad_offset, total_cols, rows,
+                   pc);
         }
         grad_offset += pc;
       }
@@ -417,9 +443,7 @@ Tensor slice_cols(const Tensor& a, std::size_t start, std::size_t len) {
     out->backward_fn = [rows, len, src_cols, start](Node& self) {
       Node& pa = *self.parents[0];
       pa.ensure_grad();
-      for (std::size_t r = 0; r < rows; ++r)
-        for (std::size_t c = 0; c < len; ++c)
-          pa.grad[r * src_cols + start + c] += self.grad[r * len + c];
+      add_grid(pa.grad.data() + start, src_cols, self.grad.data(), len, rows, len);
     };
   }
   return Tensor(out);

@@ -39,8 +39,8 @@ SimulationEngine::SimulationEngine(const ran::Deployment& dep, ScenarioConfig co
   cc_util_state_.assign(dep.carriers.size(), 0.85);
   for (auto& u : cc_util_state_) u = std::clamp(rng_.normal(0.85, 0.1), 0.4, 1.05);
   mcs_state_.assign(dep.carriers.size(), -1.0);
-  congested_.assign(dep.carriers.size(), false);
-  for (std::size_t i = 0; i < congested_.size(); ++i) congested_[i] = rng_.bernoulli(0.25);
+  congested_.assign(dep.carriers.size(), 0);
+  for (auto& c : congested_) c = rng_.bernoulli(0.25);
   util_state_ = 0.88;
 
   init_carrier_terms();
@@ -50,7 +50,7 @@ SimulationEngine::SimulationEngine(const ran::Deployment& dep, ScenarioConfig co
   const std::size_t rows = csi_delay_steps_ + 1;
   rx_dbm_ring_.assign(rows * dep.carriers.size(), 0.0);
   group_mw_ring_.assign(rows * cochannel_groups_.size(), 0.0);
-  rx_mw_.assign(dep.carriers.size(), 0.0);
+  group_mw_valid_.assign(rows * cochannel_groups_.size(), 0);
   site_log10_d_.assign(dep.sites.size(), 0.0);
 }
 
@@ -199,17 +199,23 @@ void SimulationEngine::measure_rx(std::size_t row) {
                   t.frequency_db + links_[id].total_db();
     if (config_.ue_indoor) loss += t.o2i_db;
     rx_dbm[id] = t.tx_power_dbm - loss;
-    rx_mw_[id] = std::pow(10.0, rx_dbm[id] / 10.0);
   }
+  std::fill_n(group_mw_valid_.data() + row * cochannel_groups_.size(),
+              cochannel_groups_.size(), 0);
+}
 
-  // Co-channel sums: each group's total received power; a carrier's
-  // interference is its group's sum minus its own power.
-  double* group_mw = group_mw_ring_.data() + row * cochannel_groups_.size();
-  for (std::size_t g = 0; g < cochannel_groups_.size(); ++g) {
+double SimulationEngine::group_mw(std::size_t row, std::size_t group) {
+  // A carrier's interference is its group's total received power minus
+  // its own.
+  const std::size_t slot = row * cochannel_groups_.size() + group;
+  if (group_mw_valid_[slot] == 0) {
+    const double* rx_dbm = rx_dbm_ring_.data() + row * terms_.size();
     double sum = 0.0;
-    for (auto id : cochannel_groups_[g]) sum += rx_mw_[id];
-    group_mw[g] = sum;
+    for (auto id : cochannel_groups_[group]) sum += std::pow(10.0, rx_dbm[id] / 10.0);
+    group_mw_ring_[slot] = sum;
+    group_mw_valid_[slot] = 1;
   }
+  return group_mw_ring_[slot];
 }
 
 double SimulationEngine::rsrp_dbm(ran::CarrierId id, double rx_dbm) const {
@@ -221,12 +227,11 @@ double SimulationEngine::rsrp_dbm(ran::CarrierId id, double rx_dbm) const {
   return t.tx_power_dbm - (t.path_loss_10m_db + stochastic_loss_db);
 }
 
-radio::LinkMeasurement SimulationEngine::measure(ran::CarrierId id, std::size_t row) const {
+radio::LinkMeasurement SimulationEngine::measure(ran::CarrierId id, std::size_t row) {
   const auto& t = terms_[id];
   const double rx_dbm = rx_dbm_ring_[row * terms_.size() + id];
   const double rx_mw = std::pow(10.0, rx_dbm / 10.0);
-  const double interference_mw =
-      (group_mw_ring_[row * cochannel_groups_.size() + t.group] - rx_mw) * t.activity;
+  const double interference_mw = (group_mw(row, t.group) - rx_mw) * t.activity;
   return radio::link_quality(rsrp_dbm(id, rx_dbm), t.floor,
                              interference_mw > 0.0 ? 10.0 * std::log10(interference_mw)
                                                    : radio::kNoExplicitInterference);
@@ -274,7 +279,7 @@ void SimulationEngine::record_step(double now_s, std::size_t current_row,
   // load→#RB→throughput pathway) but confounded in the aggregate.
   for (std::size_t i = 0; i < congested_.size(); ++i) {
     const double leave_rate = congested_[i] ? 1.0 / 6.0 : 1.0 / 14.0;
-    if (rng_.bernoulli(leave_rate * config_.step_s)) congested_[i] = !congested_[i];
+    if (rng_.bernoulli(leave_rate * config_.step_s)) congested_[i] ^= 1;
   }
 
   // Per-carrier persistent utilization (per-CC scheduling share, HARQ

@@ -7,6 +7,7 @@
 // the engine is the "network", the Trace is the "XCAL log".
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -82,14 +83,17 @@ class SimulationEngine {
   void init_mobility();
   void init_carrier_terms();
   [[nodiscard]] bool carrier_allowed(ran::CarrierId id) const;
-  /// Received power of every carrier at the UE, and the co-channel sums,
-  /// into ring row `row`.
+  /// Received power of every carrier at the UE into ring row `row`; marks
+  /// the row's co-channel sums stale.
   void measure_rx(std::size_t row);
+  /// Total received power (mW) of co-channel group `group` in ring row
+  /// `row`, summed in member order on first use after measure_rx.
+  [[nodiscard]] double group_mw(std::size_t row, std::size_t group);
   /// RSRP as the UE reports it, from the received power `rx_dbm`.
   [[nodiscard]] double rsrp_dbm(ran::CarrierId id, double rx_dbm) const;
   /// Full measurement of carrier `id` from ring row `row`, with co-channel
   /// interference from the row's neighbour received powers.
-  [[nodiscard]] radio::LinkMeasurement measure(ran::CarrierId id, std::size_t row) const;
+  [[nodiscard]] radio::LinkMeasurement measure(ran::CarrierId id, std::size_t row);
   void record_step(double now_s, std::size_t current_row, std::size_t delayed_row,
                    std::vector<ran::RrcEvent> events, Trace& trace);
 
@@ -107,16 +111,17 @@ class SimulationEngine {
   std::vector<double> activation_;              ///< per-carrier SCell ramp state
   std::vector<double> cc_util_state_;           ///< AR(1) per-carrier utilization
   std::vector<double> mcs_state_;               ///< outer-loop lagged MCS per carrier
-  std::vector<bool> congested_;                 ///< per-carrier elephant-flow state
+  std::vector<std::uint8_t> congested_;         ///< per-carrier elephant-flow state (0/1)
   /// CSI reporting + scheduling delay: grants at t follow the channel
   /// measured ~80 ms earlier, so UE-observed RSRP/SINR/CQI LEAD the
   /// throughput they produce. The ring keeps csi_delay_steps_ + 1 rows of
-  /// per-carrier received power (dBm) and per-group co-channel sums (mW);
-  /// step k writes row k mod rows.
+  /// per-carrier received power (dBm); step k writes row k mod rows.
+  /// Only the active carriers' groups are ever read, at the current and
+  /// the delayed row, so the co-channel sums are filled on demand.
   std::size_t csi_delay_steps_ = 1;
   std::vector<double> rx_dbm_ring_;             ///< rows × carriers
-  std::vector<double> group_mw_ring_;           ///< rows × co-channel groups
-  std::vector<double> rx_mw_;                   ///< this step's received power (mW)
+  std::vector<double> group_mw_ring_;           ///< rows × co-channel groups (mW)
+  std::vector<std::uint8_t> group_mw_valid_;    ///< rows × groups: summed since last write
   std::vector<double> site_log10_d_;            ///< this step's log10 UE–site distance
   /// Carriers sharing (band, channel index) — mutual interferers.
   std::vector<std::vector<ran::CarrierId>> cochannel_groups_;

@@ -1,7 +1,8 @@
 #include "sim/trace_io.hpp"
 
-#include <sstream>
+#include <charconv>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/contracts.hpp"
 #include "obs/metrics.hpp"
@@ -9,65 +10,118 @@
 namespace ca5g::sim {
 namespace {
 
-std::string fmt(double v) {
-  std::ostringstream os;
-  os.precision(10);
-  os << v;
-  return os.str();
+/// The canonical CSV of `trace`, header row first, cell by cell: the one
+/// definition trace_to_csv and trace_hash both read, so the saved bytes
+/// and the hashed bytes cannot drift apart. Numbers are formatted into a
+/// stack buffer and handed to `sink.cell` as a string_view, so a sink
+/// that only reads the bytes allocates nothing per cell.
+template <typename Sink>
+void write_cells(const Trace& trace, Sink& sink) {
+  char buf[32];
+  const auto emit = [&](std::to_chars_result r) {
+    CA5G_DCHECK_MSG(r.ec == std::errc{}, "trace CSV cell overflowed its buffer");
+    sink.cell(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
+  };
+  // printf "%.10g": the bytes an ostream at precision 10 writes.
+  const auto number = [&](double v) {
+    emit(std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 10));
+  };
+  const auto integer = [&](auto v) { emit(std::to_chars(buf, buf + sizeof buf, v)); };
+  const auto flag = [&](bool b) { sink.cell(b ? "1" : "0"); };
+
+  for (const char* name : {"time_s", "hour", "op", "env", "mobility", "modem", "step_s",
+                           "cc_slots", "pos_x", "pos_y", "event", "agg_tput_mbps"})
+    sink.cell(name);
+  for (std::size_t slot = 0; slot < trace.cc_slots; ++slot) {
+    const std::string p = "cc" + std::to_string(slot) + "_";
+    for (const char* field : {"active", "pcell", "band", "chan", "bw", "pci", "rsrp",
+                              "rsrq", "sinr", "cqi", "bler", "rb", "layers", "mcs",
+                              "tput"})
+      sink.cell(p + field);
+  }
+  sink.end_row();
+
+  const CcSample empty{};
+  for (const auto& s : trace.samples) {
+    number(s.time_s);
+    number(s.hour_of_day);
+    integer(static_cast<int>(trace.op));
+    integer(static_cast<int>(trace.env));
+    sink.cell(trace.mobility);
+    integer(static_cast<int>(trace.modem));
+    number(trace.step_s);
+    integer(trace.cc_slots);
+    number(s.pos.x);
+    number(s.pos.y);
+    flag(!s.events.empty());
+    number(s.aggregate_tput_mbps);
+    for (std::size_t slot = 0; slot < trace.cc_slots; ++slot) {
+      const CcSample& cc = slot < s.ccs.size() ? s.ccs[slot] : empty;
+      flag(cc.active);
+      flag(cc.is_pcell);
+      integer(static_cast<int>(cc.band));
+      integer(cc.channel_index);
+      integer(cc.bandwidth_mhz);
+      integer(cc.pci);
+      number(cc.rsrp_dbm);
+      number(cc.rsrq_db);
+      number(cc.sinr_db);
+      integer(cc.cqi);
+      number(cc.bler);
+      integer(cc.rb);
+      integer(cc.layers);
+      integer(cc.mcs);
+      number(cc.tput_mbps);
+    }
+    sink.end_row();
+  }
 }
+
+/// Collects the cells into a CsvDocument (first row is the header).
+struct DocumentSink {
+  common::CsvDocument doc;
+  std::vector<std::string> row;
+
+  void cell(std::string_view s) { row.emplace_back(s); }
+  void end_row() {
+    if (doc.header.empty())
+      doc.header = std::move(row);
+    else
+      doc.rows.push_back(std::move(row));
+    row = {};
+  }
+};
+
+/// FNV-1a 64 over the bytes common::to_csv would write: cells joined by
+/// ',' and every row ended by '\n'.
+struct HashSink {
+  std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a 64 offset basis
+  bool row_start = true;
+
+  void byte(unsigned char c) {
+    h ^= c;
+    h *= 0x100000001B3ULL;  // FNV-1a 64 prime
+  }
+  void cell(std::string_view s) {
+    if (!row_start) byte(',');
+    row_start = false;
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+  }
+  void end_row() {
+    byte('\n');
+    row_start = true;
+  }
+};
 
 }  // namespace
 
 common::CsvDocument trace_to_csv(const Trace& trace) {
   CA5G_METRIC_COUNTER(rows_written, "trace_io.rows_written_total");
   rows_written.inc(trace.samples.size());
-  common::CsvDocument doc;
-  doc.header = {"time_s", "hour", "op", "env", "mobility", "modem", "step_s",
-                "cc_slots", "pos_x", "pos_y", "event", "agg_tput_mbps"};
-  for (std::size_t slot = 0; slot < trace.cc_slots; ++slot) {
-    const std::string p = "cc" + std::to_string(slot) + "_";
-    for (const char* field : {"active", "pcell", "band", "chan", "bw", "pci", "rsrp",
-                              "rsrq", "sinr", "cqi", "bler", "rb", "layers", "mcs",
-                              "tput"})
-      doc.header.push_back(p + field);
-  }
-
-  for (const auto& s : trace.samples) {
-    std::vector<std::string> row = {
-        fmt(s.time_s),
-        fmt(s.hour_of_day),
-        std::to_string(static_cast<int>(trace.op)),
-        std::to_string(static_cast<int>(trace.env)),
-        trace.mobility,
-        std::to_string(static_cast<int>(trace.modem)),
-        fmt(trace.step_s),
-        std::to_string(trace.cc_slots),
-        fmt(s.pos.x),
-        fmt(s.pos.y),
-        std::to_string(s.events.empty() ? 0 : 1),
-        fmt(s.aggregate_tput_mbps),
-    };
-    for (std::size_t slot = 0; slot < trace.cc_slots; ++slot) {
-      const CcSample& cc = slot < s.ccs.size() ? s.ccs[slot] : CcSample{};
-      row.push_back(cc.active ? "1" : "0");
-      row.push_back(cc.is_pcell ? "1" : "0");
-      row.push_back(std::to_string(static_cast<int>(cc.band)));
-      row.push_back(std::to_string(cc.channel_index));
-      row.push_back(std::to_string(cc.bandwidth_mhz));
-      row.push_back(std::to_string(cc.pci));
-      row.push_back(fmt(cc.rsrp_dbm));
-      row.push_back(fmt(cc.rsrq_db));
-      row.push_back(fmt(cc.sinr_db));
-      row.push_back(std::to_string(cc.cqi));
-      row.push_back(fmt(cc.bler));
-      row.push_back(std::to_string(cc.rb));
-      row.push_back(std::to_string(cc.layers));
-      row.push_back(std::to_string(cc.mcs));
-      row.push_back(fmt(cc.tput_mbps));
-    }
-    doc.rows.push_back(std::move(row));
-  }
-  return doc;
+  DocumentSink sink;
+  sink.doc.rows.reserve(trace.samples.size());
+  write_cells(trace, sink);
+  return std::move(sink.doc);
 }
 
 Trace trace_from_csv(const common::CsvDocument& doc, TraceLoadReport* report) {
@@ -180,13 +234,9 @@ Trace load_trace(const std::string& path, TraceLoadReport* report) {
 }
 
 std::uint64_t trace_hash(const Trace& trace) {
-  const std::string bytes = common::to_csv(trace_to_csv(trace));
-  std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a 64 offset basis
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001B3ULL;  // FNV-1a 64 prime
-  }
-  return h;
+  HashSink sink;
+  write_cells(trace, sink);
+  return sink.h;
 }
 
 }  // namespace ca5g::sim

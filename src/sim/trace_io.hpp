@@ -40,10 +40,13 @@ void save_trace(const Trace& trace, const std::string& path);
 [[nodiscard]] Trace load_trace(const std::string& path,
                                TraceLoadReport* report = nullptr);
 
-/// FNV-1a 64-bit hash over the canonical CSV serialization of the trace:
-/// a byte-stable fingerprint used by the determinism harness to prove a
+/// FNV-1a 64-bit hash of `common::to_csv(trace_to_csv(trace))`: a
+/// byte-stable fingerprint used by the determinism harness to prove a
 /// fixed-seed scenario reproduces bit-identically across runs and thread
-/// counts (tests/test_determinism.cpp, docs/TESTING.md).
+/// counts (tests/test_determinism.cpp, docs/TESTING.md). The bytes are
+/// streamed from the same cell writer trace_to_csv uses (doubles as
+/// printf "%.10g"), with no document or string built per cell;
+/// TraceHash.EqualsHashOfCsvBytes pins the equality.
 [[nodiscard]] std::uint64_t trace_hash(const Trace& trace);
 
 }  // namespace ca5g::sim

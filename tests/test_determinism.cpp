@@ -12,8 +12,11 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "common/csv.hpp"
 #include "common/rng.hpp"
 #include "core/prism5g.hpp"
 #include "eval/pipeline.hpp"
@@ -56,11 +59,12 @@ TEST(GoldenTrace, HashIsSensitiveToSeed) {
 
 struct Fnv1a {
   std::uint64_t h = 0xCBF29CE484222325ULL;
+  void byte(unsigned char c) {
+    h ^= c;
+    h *= 0x100000001B3ULL;
+  }
   void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFFU;
-      h *= 0x100000001B3ULL;
-    }
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
   }
   void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
   void add(float v) { add(std::uint64_t{std::bit_cast<std::uint32_t>(v)}); }
@@ -165,6 +169,65 @@ TEST(GoldenTrace, BitExactScenarioMatrix) {
       << "simulated values changed in some bit. If intentional, update "
          "kGoldenScenarioMatrixHash to 0x" << std::hex << fnv.h
       << " per the procedure in docs/TESTING.md.";
+}
+
+/// A double as the trace CSV prints it: an ostream at precision 10.
+std::string ostream_cell(double v) {
+  std::ostringstream os;
+  os.precision(10);
+  os << v;
+  return os.str();
+}
+
+// trace_hash() streams its bytes without building the document. It must
+// equal FNV-1a over the bytes a saved trace holds, and those bytes must
+// print every double as an ostream at precision 10 does, the format the
+// golden hashes were taken with. The last trace pads CC slots and holds
+// a negative zero and values that print in exponent form.
+TEST(TraceHash, EqualsHashOfCsvBytes) {
+  std::vector<sim::Trace> traces;
+  for (const auto& config : golden_scenario_matrix())
+    traces.push_back(sim::run_scenario(config));
+  auto edge = test::synthetic_trace(3);
+  edge.samples[0].ccs.resize(2);  // fewer CCs than cc_slots
+  edge.samples[1].pos = {-0.0, 1e-7};
+  edge.samples[2].aggregate_tput_mbps = 1.5e12;
+  traces.push_back(edge);
+
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    const auto& trace = traces[i];
+    const auto doc = sim::trace_to_csv(trace);
+    Fnv1a bytes;
+    for (const char c : common::to_csv(doc)) bytes.byte(static_cast<unsigned char>(c));
+    EXPECT_EQ(sim::trace_hash(trace), bytes.h) << "trace " << i;
+
+    ASSERT_EQ(doc.rows.size(), trace.samples.size());
+    for (std::size_t r = 0; r < doc.rows.size(); ++r) {
+      const auto& row = doc.rows[r];
+      const auto& s = trace.samples[r];
+      EXPECT_EQ(row[doc.column("time_s")], ostream_cell(s.time_s));
+      EXPECT_EQ(row[doc.column("hour")], ostream_cell(s.hour_of_day));
+      EXPECT_EQ(row[doc.column("step_s")], ostream_cell(trace.step_s));
+      EXPECT_EQ(row[doc.column("pos_x")], ostream_cell(s.pos.x));
+      EXPECT_EQ(row[doc.column("pos_y")], ostream_cell(s.pos.y));
+      EXPECT_EQ(row[doc.column("agg_tput_mbps")], ostream_cell(s.aggregate_tput_mbps));
+      for (std::size_t slot = 0; slot < trace.cc_slots; ++slot) {
+        const auto p = "cc" + std::to_string(slot) + "_";
+        const sim::CcSample cc = slot < s.ccs.size() ? s.ccs[slot] : sim::CcSample{};
+        EXPECT_EQ(row[doc.column(p + "rsrp")], ostream_cell(cc.rsrp_dbm));
+        EXPECT_EQ(row[doc.column(p + "rsrq")], ostream_cell(cc.rsrq_db));
+        EXPECT_EQ(row[doc.column(p + "sinr")], ostream_cell(cc.sinr_db));
+        EXPECT_EQ(row[doc.column(p + "bler")], ostream_cell(cc.bler));
+        EXPECT_EQ(row[doc.column(p + "tput")], ostream_cell(cc.tput_mbps));
+      }
+    }
+  }
+
+  const auto doc = sim::trace_to_csv(edge);
+  EXPECT_EQ(doc.rows[1][doc.column("pos_x")], "-0");
+  EXPECT_EQ(doc.rows[1][doc.column("pos_y")], "1e-07");
+  EXPECT_EQ(doc.rows[2][doc.column("agg_tput_mbps")], "1.5e+12");
+  EXPECT_EQ(doc.rows[0][doc.column("cc3_active")], "0");
 }
 
 TEST(RngSubstream, PureFunctionOfSeedAndId) {

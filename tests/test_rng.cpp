@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "common/rng.hpp"
@@ -105,6 +107,43 @@ TEST(Rng, ForkDecorrelates) {
   for (int i = 0; i < 64; ++i)
     if (child1.next_u64() == child2.next_u64()) ++equal;
   EXPECT_LT(equal, 2);
+}
+
+// FNV-1a 64 over the bit patterns of one seed's draws through every
+// drawing entry point, in a fixed order. The draw path is inline in
+// common/rng.hpp, so each including translation unit compiles its own
+// copy; this digest pins the bits each copy must produce, including the
+// Box–Muller pair (both halves, and a cached half consumed by
+// normal(mean, sd)) and the fork/substream derivations.
+constexpr std::uint64_t kDrawSequenceDigest = 0x13736b82dd286d11ULL;
+
+TEST(Rng, DrawSequencePinned) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto add = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFU;
+      h *= 0x100000001B3ULL;
+    }
+  };
+  const auto add_double = [&add](double v) { add(std::bit_cast<std::uint64_t>(v)); };
+
+  Rng rng(2024);
+  for (int i = 0; i < 8; ++i) add(rng.next_u64());
+  for (int i = 0; i < 8; ++i) add_double(rng.uniform());
+  for (int i = 0; i < 4; ++i) add_double(rng.uniform(-3.0, 5.0));
+  for (int i = 0; i < 7; ++i) add_double(rng.normal());  // 3.5 pairs: one half cached
+  for (int i = 0; i < 5; ++i) add_double(rng.normal(10.0, 2.5));
+  for (int i = 0; i < 16; ++i) add(rng.bernoulli(0.3) ? 1U : 0U);
+  for (int i = 0; i < 4; ++i) add(static_cast<std::uint64_t>(rng.uniform_int(-7, 1000)));
+  Rng child = rng.fork(0xC0DE);
+  for (int i = 0; i < 3; ++i) add_double(child.normal());
+  Rng sub = rng.substream(11);
+  for (int i = 0; i < 3; ++i) add_double(sub.normal(0.0, 0.05));
+  add(rng.next_u64());  // substream() left the parent where fork() did
+
+  EXPECT_EQ(h, kDrawSequenceDigest)
+      << "the draw sequence changed: 0x" << std::hex << h
+      << ". Every trace, dataset and trained model moves with it.";
 }
 
 TEST(Rng, ShuffleIsPermutation) {

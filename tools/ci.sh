@@ -6,8 +6,8 @@
 #  1d. the same Release tree           (tanh and sigmoid against libm on
 #                                       all 2^32 inputs, every lane width)
 #  1e. Release, -Werror, -march=native (only the bit-exact suites: the
-#                                       goldens, the nn kernels and
-#                                       plan == graph)
+#                                       goldens, the pinned RNG draws,
+#                                       the nn kernels and plan == graph)
 #  1f. -O0 -fno-inline,                (only the shipped binaries: the
 #      -fkeep-inline-functions,         unreached-symbol probe, inline
 #      --gc-sections                    members included)
@@ -141,7 +141,7 @@ if grep -qw fma /proc/cpuinfo 2>/dev/null; then
 else
   echo "ci.sh: native-ISA stage: host has NO FMA; contraction is not exercised" >&2
 fi
-NATIVE_TESTS="test_determinism test_channel_model test_propagation test_tensor test_infer_fastpath"
+NATIVE_TESTS="test_determinism test_rng test_channel_model test_propagation test_tensor test_infer_fastpath"
 run cmake -B build-ci-native -S . \
   -DCMAKE_BUILD_TYPE=Release \
   -DPRISM5G_WERROR=ON \
